@@ -543,7 +543,8 @@ def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
     if hypothesis_vertex is not None:
         details["hypothesis_vertex"] = hypothesis_vertex
     if catalog.truncated:
-        # the cap stopped the enumeration: more copies may meet V'
+        # truncated means more than cap=1 copies meet V': at least the 2
+        # counted, possibly many more
         details["copies_meeting_v_prime_is_lower_bound"] = True
     if catalog.copies:
         details["witness_copy"] = list(catalog.copies[0].image)

@@ -5,7 +5,15 @@ maximizes the number of covered host vertices, allowing several patterns at
 once (mixed tilings).  Copies are identified with their image vertex sets:
 automorphism-distinct embeddings of the same set are redundant branches.
 
-Two implementations deliberately share nothing beyond the Graph type:
+* :func:`enumerate_copies` -- the copy catalogue.  A rooted search
+  (Ullmann 1976; VF2, Cordella et al. 2004) grows embeddings from their
+  least image vertex along pattern edges by intersecting neighbourhood
+  bitmasks; stabilizer-chain constraints from Aut(pattern) (Grochow &
+  Kellis 2007) leave one embedding per copy.  Each image set carries its
+  lexicographically least embedding, pattern vertices read by descending
+  degree, ties by index, and sets are listed in lexicographic order.
+
+Two solvers deliberately share nothing beyond the Graph type:
 
 * :func:`max_tiling` -- branch and bound on the lowest uncovered vertex;
   either a copy through that vertex is chosen or the vertex is permanently
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import Embedding, Graph, PartitionedGraph, Tiling, iter_bits
 
@@ -59,10 +67,13 @@ def _pattern_parts(p: PatternLike):
 class CopyCatalog:
     """All (or the first `cap`) copies of one pattern in a host.
 
-    Copies are deduplicated by image vertex set and listed in lexicographic
-    order of the sorted image set; each carries one witness embedding.  When
-    a cap cut the enumeration short, ``truncated`` is set and downstream
-    optimality claims must be downgraded.
+    A copy is an image vertex set: copies are deduplicated by it and listed
+    in lexicographic order of the sorted set.  Each carries one witness
+    embedding, the lexicographically least of all embeddings onto that set
+    when pattern vertices are read by descending degree, ties by index.
+    ``truncated`` is set exactly when more than `cap` copies exist, so
+    ``len(copies) + truncated`` is a lower bound on the true count, and
+    downstream optimality claims must be downgraded.
     """
 
     host: Graph
@@ -78,45 +89,155 @@ class CopyCatalog:
         return [emb.image_set for emb in self.copies]
 
 
-def _embed_into(host: Graph, pattern: Graph, subset: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Witness map pattern -> subset (a bijection preserving pattern edges).
+def _automorphism_extends(pattern: Graph, fixed: Sequence[tuple[int, int]]) -> bool:
+    """Whether some automorphism of `pattern` maps a to b for every (a, b) in fixed."""
+    rows = pattern.rows
+    pinned = {a for a, _ in fixed}
+    todo = list(fixed) + [(v, None) for v in range(pattern.n) if v not in pinned]
+    src: list[int] = []
+    dst: list[int] = []
 
-    Deterministic: pattern vertices are placed most-constrained-first and host
-    candidates are tried in ascending order, so the first witness found is a
-    function of the inputs alone.
-    """
-    h = pattern.n
-    smask = 0
-    for v in subset:
-        smask |= 1 << v
-    # necessary condition: sorted induced degrees dominate pattern degrees
-    induced = sorted((host.rows[v] & smask).bit_count() for v in subset)
-    wanted = sorted(pattern.degrees())
-    if any(a < b for a, b in zip(induced, wanted)):
-        return None
-    order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
-    image = [-1] * h
-    used = 0
+    def fits(a: int, b: int) -> bool:
+        return (
+            b not in dst
+            and rows[a].bit_count() == rows[b].bit_count()
+            and all((rows[a] >> x & 1) == (rows[b] >> y & 1) for x, y in zip(src, dst))
+        )
 
     def rec(i: int) -> bool:
-        nonlocal used
-        if i == h:
+        if i == len(todo):
             return True
-        u = order[i]
-        cand = smask & ~used
-        for w in iter_bits(pattern.rows[u]):
-            if image[w] >= 0:
-                cand &= host.rows[image[w]]
-        for x in iter_bits(cand):
-            image[u] = x
-            used |= 1 << x
-            if rec(i + 1):
-                return True
-            used &= ~(1 << x)
-            image[u] = -1
+        a, b = todo[i]
+        for c in (b,) if b is not None else range(pattern.n):
+            if fits(a, c):
+                src.append(a)
+                dst.append(c)
+                if rec(i + 1):
+                    return True
+                src.pop()
+                dst.pop()
         return False
 
-    return tuple(image) if rec(0) else None
+    return rec(0)
+
+
+def _search_plans(pattern: Graph, order: Sequence[int]):
+    """Rooted growth plans that meet each copy once, in its least embedding.
+
+    Symmetry breaking along the stabilizer chain of Aut(pattern) taken in
+    `order`: for each order[i] and each other vertex b of its orbit under
+    the automorphisms fixing order[:i], require image[order[i]] < image[b].
+    Exactly one embedding per copy satisfies all of these, the one whose
+    images read in `order` are lexicographically least.
+
+    One plan per root, a pattern vertex allowed to carry the least image
+    vertex.  A plan lists the pattern vertices in growth order (next: most
+    placed neighbours, then degree, then index) and, per step, the earlier
+    positions the new vertex must be adjacent to, lie above and lie below,
+    and where each vertex of `order` sits in it.
+    """
+    h = pattern.n
+    rows = pattern.rows
+    pairs = [
+        (a, b)
+        for i, a in enumerate(order)
+        for b in order[i + 1 :]
+        if _automorphism_extends(pattern, [(p, p) for p in order[:i]] + [(a, b)])
+    ]
+    above = {b for _, b in pairs}
+    plans = []
+    for root in order:
+        if root in above:
+            continue
+        seq = [root]
+        while len(seq) < h:
+            seq.append(max(
+                (v for v in range(h) if v not in seq),
+                key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
+            ))
+        pos = {v: i for i, v in enumerate(seq)}
+        steps = [
+            (
+                tuple(pos[w] for w in seq[:i] if rows[v] >> w & 1),
+                tuple(pos[a] for a, b in pairs if b == v and pos[a] < i),
+                tuple(pos[b] for a, b in pairs if a == v and pos[b] < i),
+            )
+            for i, v in enumerate(seq)
+        ]
+        plans.append((steps, tuple(pos[u] for u in order)))
+    return plans
+
+
+def _least_witnesses(
+    host: Graph, pattern: Graph, pool_mask: int, touch_mask: Optional[int]
+) -> Iterator[tuple[int, ...]]:
+    """Yield the witness image of every copy, in the catalogue's order.
+
+    Chunk by the least image vertex v1, ascending.  Within a chunk, grow each
+    embedding from v1 along the plans of :func:`_search_plans`, drawing host
+    vertices from the pool above v1 and intersecting neighbourhood masks;
+    keep, per image set, the witness least in (-degree, index) order; then
+    yield the chunk's sets in lexicographic order.
+    """
+    h = pattern.n
+    rows = host.rows
+    order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
+    plans = _search_plans(pattern, order)
+    # the current chunk and plan, read by grow
+    img = [0] * h
+    best: dict[int, tuple[int, ...]] = {}
+    avail = 0
+    steps: list = []
+    key_pos: tuple[int, ...] = ()
+
+    def grow(i: int, used: int) -> None:
+        if i == h:
+            key = tuple([img[p] for p in key_pos])
+            old = best.get(used)
+            if old is None or key < old:
+                best[used] = key
+            return
+        nbrs, lo, hi = steps[i]
+        cand = avail & ~used
+        for p in nbrs:
+            cand &= rows[img[p]]
+        for p in lo:
+            cand &= -2 << img[p]
+        for p in hi:
+            cand &= (1 << img[p]) - 1
+        while cand:
+            low = cand & -cand
+            img[i] = low.bit_length() - 1
+            grow(i + 1, used | low)
+            cand ^= low
+
+    for v1 in iter_bits(pool_mask):
+        avail = pool_mask >> (v1 + 1) << (v1 + 1)
+        if avail.bit_count() < h - 1:
+            return
+        if touch_mask is not None and not (touch_mask & pool_mask) >> v1:
+            return
+        best.clear()
+        img[0] = v1
+        for steps, key_pos in plans:
+            grow(1, 1 << v1)
+        chunk = sorted(best.items(), key=lambda item: sorted(item[1]))
+        for mask, key in chunk:
+            if touch_mask is not None and not mask & touch_mask:
+                continue
+            image = [0] * h
+            for u, x in zip(order, key):
+                image[u] = x
+            yield tuple(image)
+
+
+def _vertex_mask(host: Graph, vertices: Iterable[int], name: str) -> int:
+    mask = 0
+    for v in vertices:
+        if not 0 <= v < host.n:
+            raise ValueError(f"{name} vertex {v} outside the host range 0..{host.n - 1}")
+        mask |= 1 << v
+    return mask
 
 
 def enumerate_copies(
@@ -129,25 +250,28 @@ def enumerate_copies(
 ) -> CopyCatalog:
     """Every distinct-vertex-set copy of `pattern` inside `host`.
 
+    cap: keep at most this many copies; ``truncated`` is set exactly when
+        more than `cap` copies exist (``cap=0`` keeps none and reports
+        whether any exists).
     within: restrict images to this vertex pool.
     touching: keep only copies meeting this set (used to ask "does any copy
         pass through V?" cheaply with cap=1).
+
+    Vertices of `within` or `touching` outside the host raise ValueError.
+    Order and witnesses are as described on :class:`CopyCatalog`.
     """
     pg, pcls = _pattern_parts(pattern)
     if pg.n == 0:
         raise ValueError("empty pattern")
     if pg.n > host.n:
         raise ValueError(f"pattern has {pg.n} vertices, host only {host.n}")
-    pool = sorted(set(within)) if within is not None else list(range(host.n))
-    touch = frozenset(touching) if touching is not None else None
+    pool_mask = (
+        _vertex_mask(host, within, "within") if within is not None else (1 << host.n) - 1
+    )
+    touch_mask = _vertex_mask(host, touching, "touching") if touching is not None else None
     copies = []
     truncated = False
-    for subset in combinations(pool, pg.n):
-        if touch is not None and touch.isdisjoint(subset):
-            continue
-        image = _embed_into(host, pg, subset)
-        if image is None:
-            continue
+    for image in _least_witnesses(host, pg, pool_mask, touch_mask):
         if cap is not None and len(copies) >= cap:
             truncated = True
             break

@@ -3,7 +3,8 @@
 Everything here is written straight from the definitions with the dumbest
 possible enumeration, sharing no code path with tilekit: existence of
 expanding/swapping sets by trying all injections, regularity by walking
-subset pairs with Fraction arithmetic.
+subset pairs with Fraction arithmetic, copy catalogues by trying every vertex
+subset in lexicographic order.
 """
 
 from __future__ import annotations
@@ -128,3 +129,69 @@ def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:
         return best
 
     return rec(0, 0)
+
+
+def _embed_into(
+    host: Graph, pattern: Graph, subset: Sequence[int]
+) -> Optional[tuple[int, ...]]:
+    """First bijection pattern -> subset preserving pattern edges.
+
+    Pattern vertices are placed by descending degree, ties by index, and
+    host candidates are tried in ascending order.
+    """
+    h = pattern.n
+    smask = 0
+    for v in subset:
+        smask |= 1 << v
+    order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
+    image = [-1] * h
+    used = 0
+
+    def rec(i: int) -> bool:
+        nonlocal used
+        if i == h:
+            return True
+        u = order[i]
+        cand = smask & ~used
+        for w in range(h):
+            if pattern.has_edge(u, w) and image[w] >= 0:
+                cand &= host.rows[image[w]]
+        for x in sorted(subset):
+            if not cand >> x & 1:
+                continue
+            image[u] = x
+            used |= 1 << x
+            if rec(i + 1):
+                return True
+            used &= ~(1 << x)
+            image[u] = -1
+        return False
+
+    return tuple(image) if rec(0) else None
+
+
+def reference_copies(
+    host: Graph,
+    pattern: Graph,
+    cap: Optional[int] = None,
+    within: Optional[Sequence[int]] = None,
+    touching: Optional[Sequence[int]] = None,
+) -> tuple[list[tuple[int, ...]], bool]:
+    """(witness images, truncated) by trying every subset of the pool.
+
+    Subsets come in lexicographic order; the cap is hit when a copy beyond
+    the first `cap` turns up.
+    """
+    pool = sorted(set(within)) if within is not None else list(range(host.n))
+    touch = frozenset(touching) if touching is not None else None
+    images: list[tuple[int, ...]] = []
+    for subset in combinations(pool, pattern.n):
+        if touch is not None and touch.isdisjoint(subset):
+            continue
+        image = _embed_into(host, pattern, subset)
+        if image is None:
+            continue
+        if cap is not None and len(images) >= cap:
+            return images, True
+        images.append(image)
+    return images, False

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_copies
+from tilekit.constructions import extremal_two
 from tilekit.graphs import (
     Graph,
     Tiling,
@@ -33,6 +36,7 @@ PROPERTY_SETTINGS = settings(
 K2 = Graph(2, [(0, 1)])
 K3 = Graph(3, [(0, 1), (1, 2), (2, 0)])
 P3 = Graph(3, [(0, 1), (1, 2)])
+C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
 PETERSEN = Graph(
@@ -81,6 +85,7 @@ def test_within_and_touching_filters():
 
 
 def test_cap_semantics():
+    # truncated <=> more than cap copies exist
     host = complete_multipartite([1] * 4).graph
     exact = enumerate_copies(host, K3, cap=4)
     assert len(exact) == 4 and not exact.truncated
@@ -88,11 +93,76 @@ def test_cap_semantics():
     assert len(cut) == 2 and cut.truncated
 
 
+def test_cap_zero_only_reports_existence():
+    some = enumerate_copies(complete_multipartite([1] * 4).graph, K3, cap=0)
+    assert len(some) == 0 and some.truncated
+    none = enumerate_copies(Graph(4, [(0, 1), (1, 2), (2, 3)]), K3, cap=0)
+    assert len(none) == 0 and not none.truncated
+
+
 def test_enumerate_rejects_degenerate_inputs():
     with pytest.raises(ValueError, match="empty pattern"):
         enumerate_copies(K3, Graph(0))
     with pytest.raises(ValueError, match="host only"):
         enumerate_copies(K2, K3)
+
+
+@pytest.mark.parametrize("bad", [[4], [-1], [0, 7]])
+def test_enumerate_rejects_vertices_outside_the_host(bad):
+    host = complete_multipartite([1] * 4).graph
+    with pytest.raises(ValueError, match="within vertex .* outside the host range"):
+        enumerate_copies(host, K3, within=bad)
+    with pytest.raises(ValueError, match="touching vertex .* outside the host range"):
+        enumerate_copies(host, K3, touching=bad)
+
+
+def test_ex2_c5_witness_is_pinned():
+    inst = extremal_two(C5, 40, Fraction(1, 20))
+    cat = enumerate_copies(inst.host.graph, C5, cap=1, touching=inst.v_prime)
+    assert [list(emb.image) for emb in cat.copies] == [[0, 24, 3, 11, 25]]
+    assert cat.truncated
+
+
+DIFFERENTIAL_PATTERNS = [
+    Graph(1),  # K1
+    Graph(2),  # two isolated vertices
+    Graph(4, [(0, 1), (2, 3)]),  # 2K2
+    Graph(4, [(0, 1), (1, 2)]),  # P3 + K1
+    C4,
+    C5,
+    complete_multipartite([1, 2, 2]).graph,  # K_{1,2,2}
+    bottle_graph(3, 1, 2),
+]
+
+
+@st.composite
+def coin_hosts(draw: st.DrawFn, max_n: int = 10) -> Graph:
+    """Each pair an edge by its own coin flip: dense enough that several
+    copies often share one vertex set."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    flips = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    return Graph(n, [e for e, keep in zip(possible, flips) if keep])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(
+    coin_hosts(max_n=10),
+    st.sampled_from(DIFFERENTIAL_PATTERNS),
+    st.sampled_from([None, 0, 1, 2, 5]),
+    st.data(),
+)
+def test_catalog_matches_subset_reference(host, pattern, cap, data):
+    pg = getattr(pattern, "graph", pattern)
+    if pg.n > host.n:
+        return
+    vertex_sets = st.none() | st.lists(st.integers(0, host.n - 1), unique=True)
+    within = data.draw(vertex_sets)
+    touching = data.draw(vertex_sets)
+    cat = enumerate_copies(host, pattern, cap, within=within, touching=touching)
+    images, truncated = reference_copies(host, pg, cap, within, touching)
+    assert [emb.image for emb in cat.copies] == images
+    assert cat.truncated == truncated
 
 
 @PROPERTY_SETTINGS
