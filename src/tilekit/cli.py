@@ -2,8 +2,10 @@
 
 Subcommands: thresholds, construct, solve, gadgets, verify, sweep,
 plotdata.  Exit codes carry the verdict: 0 all checks passed, 1 any
-failure, 2 any inconclusive result (an exhausted solver budget is
-inconclusive, never a pass or a silent fail).
+failure or rejected input (a ValueError), 2 any inconclusive result (an
+exhausted solver budget is inconclusive, never a pass or a silent fail),
+3 an internal error (any other exception), so that no crash reads as a
+"fail" verdict.  Both errors print one ``error: ...`` line to stderr.
 
 Hosts and patterns are given either as files (edge list or graph6) or as
 names in the small pattern grammar (K_t, K_{a,b,...}, C_k, bottle(r,s,w)).
@@ -68,6 +70,7 @@ __all__ = ["main"]
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
+EXIT_ERROR = 3
 
 _VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}
 
@@ -491,6 +494,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ from .graphs import (
     PartitionedGraph,
     Tiling,
     bottle_graph,
+    bottle_shape,
     complete_multipartite,
     iter_bits,
     multipartite_classes,
@@ -56,7 +57,6 @@ __all__ = [
     "extremal_three",
     "extremal_two",
     "lemma62_perfect_tiling",
-    "neighborhood_partite_witness",
 ]
 
 Rational = Union[int, Fraction]
@@ -175,29 +175,6 @@ def extremal_one(spec: ExtremalOneSpec) -> ExtremalOneInstance:
 # extremal family 2: pinning the start value
 # ---------------------------------------------------------------------------
 
-def _neighborhood_chromatic_numbers(pattern: Graph) -> list[int]:
-    """chi(N(x)) for every vertex x of the pattern, in vertex order."""
-    return [
-        chromatic_number(pattern.induced(iter_bits(pattern.rows[x]))[0])
-        for x in range(pattern.n)
-    ]
-
-
-def neighborhood_partite_witness(pattern: Graph, parts: Optional[int] = None) -> Optional[int]:
-    """First vertex whose neighborhood needs more than `parts` colours.
-
-    Returns None when every neighborhood is `parts`-colourable.  Defaults to
-    parts = chi(pattern) - 1, which every neighborhood meets (an optimal
-    colouring restricted to N(v) drops v's own colour), so the default call
-    always returns None.  The degree-dip exclusion hypothesis is a different
-    check: see :func:`dip_exclusion_witness`.
-    """
-    if parts is None:
-        parts = chromatic_number(pattern) - 1
-    chis = _neighborhood_chromatic_numbers(pattern)
-    return next((x for x, chi in enumerate(chis) if chi > parts), None)
-
-
 def dip_exclusion_witness(pattern: Graph) -> Optional[int]:
     """First vertex whose neighborhood is (r-2)-colourable, r = chi(pattern).
 
@@ -209,8 +186,10 @@ def dip_exclusion_witness(pattern: Graph) -> Optional[int]:
     (empty neighborhood, chromatic number 0) is returned.
     """
     parts = chromatic_number(pattern) - 2
-    chis = _neighborhood_chromatic_numbers(pattern)
-    return next((x for x, chi in enumerate(chis) if chi <= parts), None)
+    for x in range(pattern.n):
+        if chromatic_number(pattern.induced(iter_bits(pattern.rows[x]))[0]) <= parts:
+            return x
+    return None
 
 
 @dataclass(frozen=True)
@@ -351,19 +330,6 @@ def _place_partitioned_copy(
     return Embedding(pattern.graph, tuple(image), pattern.classes)
 
 
-def _bottle_shape(B: PartitionedGraph) -> tuple[int, int, int]:
-    sizes = B.class_sizes()
-    if len(sizes) < 2:
-        raise ValueError("bottle graphs need at least two classes")
-    widths = set(sizes[1:])
-    if len(widths) != 1:
-        raise ValueError(f"width classes must share one size, got {sizes}")
-    neck, width = sizes[0], sizes[1]
-    if neck > width:
-        raise ValueError(f"neck {neck} exceeds width {width}")
-    return len(sizes), neck, width
-
-
 # ---------------------------------------------------------------------------
 # perfect tilings of the four blow-up targets
 # ---------------------------------------------------------------------------
@@ -396,7 +362,7 @@ def lemma62_perfect_tiling(target: str, B: PartitionedGraph, m: int) -> Lemma62R
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    r, sigma, omega = _bottle_shape(B)
+    r, sigma, omega = bottle_shape(B.class_sizes())
     if sigma == omega:
         raise ValueError("neck equals width, so t = (omega - sigma) b = 0")
     b = sigma + (r - 1) * omega

@@ -26,6 +26,7 @@ from .graphs import (
     Tiling,
     ValidationReport,
     VertexOrdering,
+    bottle_shape,
     iter_bits,
 )
 from .solver import enumerate_copies
@@ -248,25 +249,16 @@ class SwappingSet:
         return len(self.pairs)
 
 
-def _bottle_thresholds(class_images: Sequence[tuple[int, ...]], m: int) -> tuple[int, int]:
-    # neck sigma*m, widths omega*m -> thresholds (sigma, omega)
-    neck = len(class_images[0])
-    width = len(class_images[1]) if len(class_images) > 1 else neck
-    if neck % m or width % m:
-        raise ValueError(f"class sizes ({neck}, {width}) not divisible by m = {m}")
-    return neck // m, width // m
-
-
 def _swap_witness(
     G: Graph,
     z: int,
     class_images: Sequence[tuple[int, ...]],
+    sigma: int,
+    omega: int,
     ordering: VertexOrdering,
     k: int,
-    m: int,
 ) -> Optional[int]:
     """Smallest-label y in this copy making (z, y) a k-swapping pair."""
-    sigma, omega = _bottle_thresholds(class_images, m)
     row = G.rows[z]
     if sum(row >> w & 1 for w in class_images[0]) < sigma:
         return None
@@ -307,13 +299,15 @@ def find_swapping_set(
         raise ValueError("k must be >= 0")
     copies = T.embeddings
     images = [_class_images(emb) for emb in copies]
+    # neck sigma*m, widths omega*m -> adjacency thresholds (sigma, omega)
+    thresholds = [bottle_shape([len(c) for c in cimg], m)[1:] for cimg in images]
     outside = [v for v in range(G.n) if v not in T.covered]
     witness: dict[tuple[int, int], int] = {}
     adj = []
     for z in outside:
         row = []
-        for ci, cimg in enumerate(images):
-            y = _swap_witness(G, z, cimg, ordering, k, m)
+        for ci, (cimg, (sigma, omega)) in enumerate(zip(images, thresholds)):
+            y = _swap_witness(G, z, cimg, sigma, omega, ordering, k)
             if y is not None:
                 witness[z, ci] = y
                 row.append(ci)
@@ -344,7 +338,7 @@ def check_swapping_set(G: Graph, T: Tiling, ss: SwappingSet) -> ValidationReport
             return ValidationReport(False, "two pairs share a copy")
         seen_copies.append(copy)
         cimg = _class_images(copy)
-        sigma, omega = _bottle_thresholds(cimg, ss.m)
+        _, sigma, omega = bottle_shape([len(c) for c in cimg], ss.m)
         if sum(G.has_edge(z, w) for w in cimg[0]) < sigma:
             return ValidationReport(False, f"vertex {z} sees too little of the neck")
         for wc in cimg[1:]:
@@ -381,20 +375,6 @@ class StepOutcome:
     report: Optional[SmallBigReport] = None
 
 
-def _pattern_profile(pattern: PartitionedGraph, m: int) -> tuple[int, int, int]:
-    """(r, sigma, omega) in base units for a bottle pattern blown up by m."""
-    sizes = pattern.class_sizes()
-    widths = set(sizes[1:])
-    if len(widths) != 1:
-        raise ValueError(f"width classes must share one size, got {sizes}")
-    neck, width = sizes[0], sizes[1]
-    if neck > width:
-        raise ValueError(f"neck {neck} exceeds width {width}")
-    if neck % m or width % m:
-        raise ValueError(f"class sizes ({neck}, {width}) not divisible by m = {m}")
-    return len(sizes), neck // m, width // m
-
-
 def small_big_split(
     G: Graph,
     T: Tiling,
@@ -406,7 +386,7 @@ def small_big_split(
 
     Exact rational comparison; both halves come back in ordering order.
     """
-    r, sigma, omega = _pattern_profile(pattern, params.m)
+    r, sigma, omega = bottle_shape(pattern.class_sizes(), params.m)
     b = sigma + (r - 1) * omega
     n = G.n
     threshold = Fraction(b - omega, b) * n + (params.eta - 2 * params.gamma) * n
@@ -438,7 +418,7 @@ def expand_or_swap_step(
     es = find_expanding_set(G, T, ell)
     if es is not None:
         return StepOutcome(kind="expanding", expanding=es)
-    _, sigma, omega = _pattern_profile(pattern, params.m)
+    _, sigma, omega = bottle_shape(pattern.class_sizes(), params.m)
     offset = math.ceil(Fraction(omega, sigma) * params.gamma * n)
     ss = find_swapping_set(G, T, ordering, offset, ell, m=params.m)
     if ss is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 4096
 
@@ -85,7 +85,7 @@ class Graph:
         ]
         return Graph(len(vs), edges), vs
 
-    # -- equality is labeled; isomorphism lives in are_isomorphic -----------
+    # -- equality is labeled ------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -294,6 +294,26 @@ def bottle_graph(r: int, neck: int, width: int) -> PartitionedGraph:
     return complete_multipartite([neck] + [width] * (r - 1))
 
 
+def bottle_shape(sizes: Sequence[int], m: int = 1) -> tuple[int, int, int]:
+    """(r, sigma, omega) of the bottle graph bottle_graph(r, sigma*m, omega*m)
+    with these class sizes, neck first; the inverse of :func:`bottle_graph`.
+
+    Raises ValueError unless there are at least two classes, the width
+    classes share one size, the neck is no wider than them and m divides
+    both sizes.
+    """
+    if len(sizes) < 2:
+        raise ValueError("bottle graphs need at least two classes")
+    neck, width = sizes[0], sizes[1]
+    if any(s != width for s in sizes[2:]):
+        raise ValueError(f"width classes must share one size, got {tuple(sizes)}")
+    if neck > width:
+        raise ValueError(f"neck {neck} exceeds width {width}")
+    if neck % m or width % m:
+        raise ValueError(f"class sizes ({neck}, {width}) not divisible by m = {m}")
+    return len(sizes), neck // m, width // m
+
+
 def blow_up(g: Graph, t: int) -> PartitionedGraph:
     """Replace each vertex x by t clones; clone sets of adjacent vertices are
     completely joined, clone sets themselves stay independent.
@@ -344,53 +364,6 @@ def multipartite_classes(g: Graph) -> Optional[list[tuple[int, ...]]]:
         classes.append(tuple(iter_bits(member)))
     classes.sort(key=lambda c: (len(c), c[0]))
     return classes
-
-
-# ---------------------------------------------------------------------------
-# isomorphism (tests only; labeled equality elsewhere)
-# ---------------------------------------------------------------------------
-
-ISO_MAX = 12
-
-
-def are_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exhaustive isomorphism check with degree pruning; n <= 12 only."""
-    if g1.n > ISO_MAX or g2.n > ISO_MAX:
-        raise ValueError(f"isomorphism check limited to n <= {ISO_MAX}")
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
-        return False
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
-        return False
-    n = g1.n
-    d1, d2 = g1.degrees(), g2.degrees()
-    # order g1 vertices by rarity of degree to fail fast
-    order = sorted(range(n), key=lambda v: (d1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        u = order[i]
-        for w in range(n):
-            if used[w] or d2[w] != d1[u]:
-                continue
-            ok = True
-            for j in range(i):
-                p = order[j]
-                if g1.has_edge(u, p) != g2.has_edge(w, mapping[p]):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                mapping[u] = -1
-                used[w] = False
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

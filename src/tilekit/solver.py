@@ -36,7 +36,6 @@ __all__ = [
     "ORACLE_MAX_VERTICES",
     "CopyCatalog",
     "TilingResult",
-    "coverage_deficit",
     "enumerate_copies",
     "max_tiling",
     "max_tiling_oracle",
@@ -294,7 +293,7 @@ class TilingResult:
     """Outcome of a maximum-tiling search.
 
     optimality is "proven-optimal" only when the search tree was exhausted
-    with no truncation anywhere; otherwise "best-found" with the reason.
+    within the node budget; otherwise "best-found" with the reason.
     """
 
     tiling: Tiling
@@ -314,16 +313,10 @@ class TilingResult:
         return self.optimality == "proven-optimal"
 
 
-def coverage_deficit(result: TilingResult, host_n: int) -> int:
-    """Number of host vertices the tiling leaves uncovered."""
-    return host_n - result.covered_count
-
-
 def max_tiling(
     host: Graph,
     patterns: Sequence[PatternLike],
     budget: int = DEFAULT_BUDGET,
-    copy_cap: Optional[int] = None,
 ) -> TilingResult:
     """Maximum mixed tiling by branch and bound.
 
@@ -336,7 +329,6 @@ def max_tiling(
         raise ValueError("need at least one pattern")
     catalogs = []
     seen = set()
-    truncated_any = False
     for p in patterns:
         pg, pcls = _pattern_parts(p)
         if pg.n == 0:
@@ -345,9 +337,7 @@ def max_tiling(
         if key in seen or pg.n > host.n:
             continue
         seen.add(key)
-        cat = enumerate_copies(host, p, cap=copy_cap)
-        truncated_any = truncated_any or cat.truncated
-        catalogs.append(cat)
+        catalogs.append(enumerate_copies(host, p))
 
     by_set: dict[frozenset, Embedding] = {}
     for cat in catalogs:
@@ -405,16 +395,11 @@ def max_tiling(
 
     rec((1 << host.n) - 1, 0)
 
-    reasons = []
-    if budget_hit:
-        reasons.append("node-budget-hit")
-    if truncated_any:
-        reasons.append("copy-cap-hit")
     return TilingResult(
         tiling=Tiling(best_embs),
         covered_count=best_count,
-        optimality="best-found" if reasons else "proven-optimal",
-        reason=", ".join(reasons) or None,
+        optimality="best-found" if budget_hit else "proven-optimal",
+        reason="node-budget-hit" if budget_hit else None,
         nodes=nodes,
     )
 

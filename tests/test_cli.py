@@ -1,14 +1,18 @@
 """End-to-end CLI tests through main(argv); exit codes are the contract:
-0 pass, 1 fail, 2 inconclusive."""
+0 pass, 1 fail or rejected input, 2 inconclusive, 3 internal error."""
 
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from tilekit.cli import main
+from tilekit.cli import build_parser, main
 from tilekit.graphs import parse_graph
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -323,3 +327,70 @@ def test_plotdata_overlays_and_file_output(capsys, tmp_path):
     # the x-lines overlay the base line rather than replacing it
     header = out_path.read_text().splitlines()[0]
     assert header == "i,komlos,x=1/2,x=2/3"
+
+
+# ---------------------------------------------------------------------------
+# internal errors and the README
+# ---------------------------------------------------------------------------
+
+
+def _tiling_without_embeddings(tmp_path) -> str:
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "pattern": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]], "classes": [[0], [1], [2]]},
+    }))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            lambda tmp: ["construct", "--family", "ex3", "--params", "{}",
+                         "--out", str(tmp / "x.el")],
+            "KeyError",
+        ),
+        (
+            lambda tmp: ["gadgets", "--find", "expand", "--host", "K3",
+                         "--tiling", _tiling_without_embeddings(tmp)],
+            "KeyError",
+        ),
+        (
+            lambda tmp: ["verify", "--family", "ex3", "--grid", '[{"pattern": "K3"}]'],
+            "KeyError",
+        ),
+        (
+            lambda tmp: ["solve", "--host", str(tmp), "--pattern", "K3"],
+            "IsADirectoryError",
+        ),
+    ],
+    ids=["construct-missing-key", "tiling-without-embeddings", "grid-missing-key",
+         "host-is-a-directory"],
+)
+def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert err.count("\n") == 1
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words and words[0] == "tilekit":
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_cli_lines_parse():
+    commands = _readme_cli_commands()
+    assert len(commands) >= 10
+    parser = build_parser()
+    for words in commands:
+        # a shell redirect ends the command
+        cut = words.index(">") if ">" in words else len(words)
+        parser.parse_args(words[:cut])

@@ -24,7 +24,6 @@ from tilekit.constructions import (
     extremal_three,
     extremal_two,
     lemma62_perfect_tiling,
-    neighborhood_partite_witness,
 )
 from tilekit.graphs import Graph, bottle_graph, complete_multipartite, is_valid_tiling
 from tilekit.solver import max_tiling
@@ -101,17 +100,6 @@ def test_extremal_one_validation():
 # ---------------------------------------------------------------------------
 # family 2: the degree dip
 # ---------------------------------------------------------------------------
-
-
-def test_neighborhood_witness_default_is_always_none():
-    # restricting an optimal colouring to N(v) drops v's own colour
-    for g in (C5, K3, K4):
-        assert neighborhood_partite_witness(g) is None
-
-
-def test_neighborhood_witness_with_fewer_parts():
-    assert neighborhood_partite_witness(K4, 2) == 0
-    assert neighborhood_partite_witness(C5, 1) is None
 
 
 def test_dip_exclusion_witness_odd_cycles_fail_the_hypothesis():

@@ -19,6 +19,7 @@ from tilekit.gadgets import (
     GreedyFailure,
     GreedyKrParams,
     SlackParams,
+    SwappingSet,
     check_expanding_set,
     check_swapping_set,
     epsilon_regular_check,
@@ -184,6 +185,20 @@ def test_check_swapping_set_catches_gap_violation():
         ordering=ordering, offset=host.n + 1, pairs=found.pairs, m=found.m
     )
     assert "index gap" in check_swapping_set(host, tiling, bad).violation
+
+
+def test_swapping_rejects_a_copy_with_unequal_width_classes():
+    # K_{1,1,2} is no bottle graph: its width classes have sizes 1 and 2, so
+    # no single omega threshold applies to it
+    k112 = complete_multipartite([1, 1, 2])
+    host = complete_multipartite([1, 1, 2, 1]).graph
+    tiling = Tiling((Embedding(k112.graph, (0, 1, 2, 3), k112.classes),))
+    ordering = VertexOrdering.by_degree(host)
+    with pytest.raises(ValueError, match="share one size"):
+        find_swapping_set(host, tiling, ordering, 0, 1)
+    pairs = SwappingSet(ordering=ordering, offset=0, pairs=((4, 2),))
+    with pytest.raises(ValueError, match="share one size"):
+        check_swapping_set(host, tiling, pairs)
 
 
 @PROPERTY_SETTINGS

@@ -14,9 +14,9 @@ from tilekit.graphs import (
     PartitionedGraph,
     Tiling,
     VertexOrdering,
-    are_isomorphic,
     blow_up,
     bottle_graph,
+    bottle_shape,
     complete_multipartite,
     emit_edge_list,
     emit_graph,
@@ -33,6 +33,13 @@ PROPERTY_SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def to_networkx(g: Graph) -> nx.Graph:
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nxg
 
 
 @st.composite
@@ -126,19 +133,44 @@ def test_edge_list_round_trip(g: Graph):
 @given(graphs())
 def test_graph6_round_trip(g: Graph):
     assert graph6_decode(graph6_encode(g)) == g
+    assert parse_graph(graph6_encode(g)) == g
+    assert parse_graph(">>graph6<<" + graph6_encode(g)) == g
 
 
 @PROPERTY_SETTINGS
 @given(graphs())
 def test_graph6_matches_networkx(g: Graph):
     # networkx is the independent encoder here
-    nxg = nx.Graph()
-    nxg.add_nodes_from(range(g.n))
-    nxg.add_edges_from(g.edges())
-    theirs = nx.to_graph6_bytes(nxg, header=False).decode().strip()
+    theirs = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
     assert graph6_encode(g) == theirs
     back = nx.from_graph6_bytes(graph6_encode(g).encode())
     assert set(back.edges()) == {tuple(sorted(e)) for e in g.edges()}
+
+
+def test_parse_graph_round_trips_long_graph6_header():
+    # n > 62 takes the four-byte '~' size field
+    path = Graph(70, [(i, i + 1) for i in range(69)])
+    assert parse_graph(graph6_encode(path)) == path
+    assert parse_graph(emit_edge_list(path)) == path
+
+
+GRAPH6_LIKE = st.tuples(
+    st.sampled_from(["", ">>graph6<<"]),
+    st.sampled_from(["", "~"]),  # '~' opens the four-byte size field
+    st.text(alphabet=[chr(c) for c in range(58, 130)], max_size=20),
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(), st.text(alphabet="0123456789 \t\n-"), GRAPH6_LIKE))
+def test_parse_graph_accepts_or_names_the_error(text: str):
+    # any text parses or raises ValueError (GraphParseError is one), never
+    # an IndexError, KeyError or other uncaught exception
+    try:
+        g = parse_graph(text)
+    except ValueError:
+        return
+    assert isinstance(g, Graph)
 
 
 def test_parse_graph_dispatches_on_leading_digit_line():
@@ -202,6 +234,30 @@ def test_bottle_graph_rejects_bad_parameters():
         bottle_graph(3, 0, 2)
 
 
+def test_bottle_shape_inverts_bottle_graph():
+    for r in range(2, 5):
+        for width in range(1, 4):
+            for neck in range(1, width + 1):
+                for m in range(1, 4):
+                    sizes = bottle_graph(r, neck * m, width * m).class_sizes()
+                    assert bottle_shape(sizes, m) == (r, neck, width)
+    assert bottle_shape([2, 4, 4]) == (3, 2, 4)
+
+
+@pytest.mark.parametrize(
+    "sizes, m, message",
+    [
+        ((2,), 1, "at least two classes"),
+        ((1, 2, 3), 1, "share one size"),
+        ((3, 2, 2), 1, "neck 3 exceeds width 2"),
+        ((2, 3, 3), 2, "not divisible by m = 2"),
+    ],
+)
+def test_bottle_shape_rejects_non_bottles(sizes, m, message):
+    with pytest.raises(ValueError, match=message):
+        bottle_shape(sizes, m)
+
+
 def test_complete_multipartite_edges():
     g = complete_multipartite([2, 3])
     assert g.graph.edge_count() == 6
@@ -234,7 +290,7 @@ def test_blow_up_composes_up_to_isomorphism(g: Graph, a: int, b: int):
         return
     twice = blow_up(blow_up(g, a).graph, b).graph
     once = blow_up(g, a * b).graph
-    assert are_isomorphic(twice, once)
+    assert nx.is_isomorphic(to_networkx(twice), to_networkx(once))
 
 
 def test_blow_up_clone_sets_independent():
@@ -263,33 +319,6 @@ def test_multipartite_classes_rejects_c5():
 
 def test_multipartite_classes_empty_graph():
     assert multipartite_classes(Graph(0)) is None
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-# ---------------------------------------------------------------------------
-
-
-@PROPERTY_SETTINGS
-@given(graphs(max_n=8), st.randoms(use_true_random=False))
-def test_relabeled_graph_is_isomorphic(g: Graph, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-    assert are_isomorphic(g, h)
-
-
-def test_same_degrees_but_not_isomorphic():
-    c6 = Graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    two_triangles = Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-    assert sorted(c6.degrees()) == sorted(two_triangles.degrees())
-    assert not are_isomorphic(c6, two_triangles)
-
-
-def test_isomorphism_size_cap():
-    big = Graph(13)
-    with pytest.raises(ValueError, match="n <= 12"):
-        are_isomorphic(big, big)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from tilekit.graphs import (
 from tilekit.solver import (
     CopyCatalog,
     TilingResult,
-    coverage_deficit,
     enumerate_copies,
     max_tiling,
     max_tiling_oracle,
@@ -213,7 +212,7 @@ def test_result_is_validated():
     host = Graph(4, [(0, 1), (2, 3)])
     result = max_tiling(host, [K2])
     assert is_valid_tiling(host, result.tiling)
-    assert coverage_deficit(result, host.n) == 0
+    assert result.covered_count == host.n
 
 
 def test_tiling_result_rejects_inconsistent_count():
@@ -237,13 +236,6 @@ def test_budget_exhaustion_downgrades_optimality():
     assert not result.proven_optimal
     assert result.optimality == "best-found"
     assert "node-budget-hit" in result.reason
-
-
-def test_copy_cap_downgrades_optimality():
-    host = complete_multipartite([1] * 6).graph
-    result = max_tiling(host, [K3], copy_cap=3)
-    assert not result.proven_optimal
-    assert "copy-cap-hit" in result.reason
 
 
 def test_oracle_size_limit():
