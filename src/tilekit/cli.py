@@ -2,10 +2,14 @@
 
 Subcommands: thresholds, construct, solve, gadgets, verify, sweep,
 plotdata.  Exit codes carry the verdict: 0 all checks passed, 1 any
-failure or rejected input (a ValueError), 2 any inconclusive result (an
-exhausted solver budget is inconclusive, never a pass or a silent fail),
-3 an internal error (any other exception), so that no crash reads as a
-"fail" verdict.  Both errors print one ``error: ...`` line to stderr.
+failure or rejected input (a ValueError, or a usage error, which argparse
+reports with its usage line), 2 any inconclusive result (an exhausted
+solver budget is inconclusive, never a pass or a silent fail), 3 an
+internal error (any other exception), so that no crash reads as a "fail"
+verdict.  Both errors print one ``error: ...`` line to stderr.  Each verb
+takes only the shared options it reads: ``--json`` all but gadgets (always
+JSON) and plotdata (always CSV), ``--budget`` solve, verify and sweep,
+``--seed`` sweep.
 
 Hosts and patterns are given either as files (edge list or graph6) or as
 names in the small pattern grammar (K_t, K_{a,b,...}, C_k, bottle(r,s,w)).
@@ -405,10 +409,11 @@ def cmd_plotdata(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument(
+    # options shared by several verbs, each given only to the verbs that read it
+    json_opt = argparse.ArgumentParser(add_help=False)
+    json_opt.add_argument("--json", action="store_true", help="machine-readable output")
+    budget_opt = argparse.ArgumentParser(add_help=False)
+    budget_opt.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET, help="solver node budget"
     )
 
@@ -418,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "thresholds", parents=[common], help="degree-bound lines per pattern"
+        "thresholds", parents=[json_opt], help="degree-bound lines per pattern"
     )
     p.add_argument("--pattern", help="pattern file or name")
     p.add_argument("--eta", default="0", help="additive slack coefficient")
@@ -430,21 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_thresholds)
 
     p = sub.add_parser(
-        "construct", parents=[common], help="build extremal hosts and tilings"
+        "construct", parents=[json_opt], help="build extremal hosts and tilings"
     )
     p.add_argument("--family", required=True, choices=sorted(_CONSTRUCTORS))
     p.add_argument("--params", required=True, help="JSON parameters (or @file)")
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("solve", parents=[common], help="maximum mixed tiling")
+    p = sub.add_parser(
+        "solve", parents=[json_opt, budget_opt], help="maximum mixed tiling"
+    )
     p.add_argument("--host", required=True, help="host graph file or name")
     p.add_argument(
         "--pattern", required=True, action="append", help="pattern file or name"
     )
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("gadgets", parents=[common], help="structural gadget finders")
+    p = sub.add_parser("gadgets", help="structural gadget finders")
     p.add_argument("--find", required=True, choices=["expand", "swap", "kr"])
     p.add_argument("--host", required=True, help="host graph file or name")
     p.add_argument("--tiling", help="tiling JSON file (expand/swap)")
@@ -458,13 +465,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gadgets)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="extremal family verification suite"
+        "verify",
+        parents=[json_opt, budget_opt],
+        help="extremal family verification suite",
     )
     p.add_argument("--family", required=True, choices=["ex1", "ex2", "ex3"])
     p.add_argument("--grid", help="JSON list of parameter points (or @file)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("sweep", parents=[common], help="seeded verification sweeps")
+    p = sub.add_parser(
+        "sweep",
+        parents=[json_opt, budget_opt],
+        help="seeded verification sweeps",
+    )
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.add_argument(
         "--suite",
         default="solver-oracle",
@@ -474,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=14, help="largest host order")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("plotdata", parents=[common], help="bound-line CSV data")
+    p = sub.add_parser("plotdata", help="bound-line CSV data")
     p.add_argument("--pattern", required=True, help="pattern file or name")
     p.add_argument("--n", type=int, required=True, help="host order")
     p.add_argument("--eta", default="0", help="additive slack coefficient")
@@ -488,7 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (code 0) or a usage error; its code 2
+        # for the latter would read as an inconclusive verdict
+        return EXIT_PASS if not exc.code else EXIT_FAIL
     try:
         return args.func(args)
     except ValueError as exc:

@@ -15,10 +15,15 @@ automorphism-distinct embeddings of the same set are redundant branches.
 
 Two solvers deliberately share nothing beyond the Graph type:
 
-* :func:`max_tiling` -- branch and bound on the lowest uncovered vertex;
-  either a copy through that vertex is chosen or the vertex is permanently
-  skipped.  Upper bound: covered + the best coin sum of pattern sizes that
-  fits in the remaining free-vertex count.
+* :func:`max_tiling` -- branch and bound over the twin quotient.  Open
+  twins (vertices with equal rows) form classes, and a copy matters only
+  through its *copy type*, the number of vertices it takes from each class.
+  The search branches on the lowest free vertex: a type through its class,
+  placed on the lowest free vertices of each class it uses, or skipping the
+  vertex (its whole class when no type through it fits).  It cuts a subtree
+  by the bound covered + the best coin sum of pattern sizes within the free
+  count, and by a dominance table of the most covered seen per free mask.
+  On a host without twins every type is one copy.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   with naive permutation-based copy detection, for hosts up to 16 vertices.
 """
@@ -42,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10_000_000
+# the dominance table of max_tiling stops growing at about this size
+_DOMINANCE_MAX_BYTES = 128 * 2**20
 ORACLE_MAX_VERTICES = 16
 
 PatternLike = Union[Graph, PartitionedGraph]
@@ -313,21 +320,72 @@ class TilingResult:
         return self.optimality == "proven-optimal"
 
 
+def _take_twins(free: int, taken: int, parts) -> int:
+    """`taken` plus the lowest c free vertices of each (class mask, c) in
+    `parts`, or 0 when some class has fewer than c left."""
+    for cmask, c in parts:
+        f = free & cmask
+        if f.bit_count() < c:
+            return 0
+        for _ in range(c):
+            low = f & -f
+            taken |= low
+            f ^= low
+    return taken
+
+
 def max_tiling(
     host: Graph,
     patterns: Sequence[PatternLike],
     budget: int = DEFAULT_BUDGET,
 ) -> TilingResult:
-    """Maximum mixed tiling by branch and bound.
+    """Maximum mixed tiling by branch and bound over the twin quotient.
 
-    Branch vertex = lowest uncovered vertex; its options are the copies
-    through it (larger patterns first, then lexicographic image), followed by
-    permanently skipping it.  The first tiling attaining the optimum in this
-    deterministic order is returned.
+    Open twins (vertices with equal rows) form classes, and a tiling's size
+    does not depend on which twins of a class its copies use.  A *copy type*
+    is a class-count vector that some copy has; it is represented by its
+    canonical copy, on the first vertices of each class it uses, with that
+    copy's catalogue witness.  The types come from :func:`enumerate_copies`
+    restricted to the first min(|class|, h) vertices of each class, and are
+    ordered as copies are: larger patterns first, then lexicographic image
+    of the canonical copy.
+
+    Branch vertex = lowest free vertex.  Its options are the types through
+    its class that fit the free vertices, each placed on the lowest free
+    vertices of every class it uses (so the free set stays a suffix of each
+    class, and twin-symmetric branches coincide), followed by skipping the
+    vertex for good.  When no type through its class fits, the whole class
+    is dropped at once.  A subtree is cut when covered + the best coin sum
+    of pattern sizes within the free count cannot beat the incumbent, or
+    when the dominance table (free mask -> most covered seen there) holds an
+    earlier visit with at least as much covered.  The search runs on an
+    explicit stack; the table stops growing at about
+    ``_DOMINANCE_MAX_BYTES``, which only costs pruning.
+
+    The first tiling attaining the optimum in this deterministic order is
+    returned, each type's witness moved onto the twins it took (the j-th
+    vertex of a class to the j-th taken one).  On a twin-free host every
+    class is a singleton and every copy its own type, so this is the first
+    optimal tiling in the order of all copies.
     """
     if not patterns:
         raise ValueError("need at least one pattern")
-    catalogs = []
+    # Twin classes, numbered by least vertex.  A vertex is not in its own
+    # row, so twins are never adjacent: a class is an independent set, and
+    # permuting it is a host automorphism.
+    class_of_row: dict[int, int] = {}
+    cls_of = [class_of_row.setdefault(row, len(class_of_row)) for row in host.rows]
+    class_mask = [0] * len(class_of_row)
+    below = [0] * host.n  # the twins before v in its class
+    for v, i in enumerate(cls_of):
+        below[v] = class_mask[i]
+        class_mask[i] |= 1 << v
+    twins = 0  # the vertices of classes with more than one vertex
+    for mask in class_mask:
+        if mask & (mask - 1):
+            twins |= mask
+
+    types: dict[int, Embedding] = {}  # canonical image mask -> witness
     seen = set()
     for p in patterns:
         pg, pcls = _pattern_parts(p)
@@ -337,25 +395,34 @@ def max_tiling(
         if key in seen or pg.n > host.n:
             continue
         seen.add(key)
-        catalogs.append(enumerate_copies(host, p))
+        # a copy uses at most h twins of a class, and any h of them alike
+        pool = [v for v in range(host.n) if below[v].bit_count() < pg.n]
+        for emb in enumerate_copies(host, p, within=pool).copies:
+            mask = need = 0
+            for w in emb.image:
+                mask |= 1 << w
+                need |= below[w]
+            if not need & ~mask:  # canonical: no unused twin before a used one
+                types.setdefault(mask, emb)
 
-    by_set: dict[frozenset, Embedding] = {}
-    for cat in catalogs:
-        for emb in cat.copies:
-            by_set.setdefault(emb.image_set, emb)
-    options = sorted(
-        by_set.values(), key=lambda e: (-e.pattern.n, tuple(sorted(e.image)))
-    )
-    per_vertex: list[list] = [[] for _ in range(host.n)]
-    for emb in options:
-        mask = 0
+    # per class, the types through it, each as (mask on singleton classes,
+    # (class mask, count) per larger class, (size, canonical mask, witness))
+    per_class: list[list] = [[] for _ in class_mask]
+    order = sorted(types.items(), key=lambda t: (-t[1].pattern.n, sorted(t[1].image)))
+    for canon, emb in order:
+        parts: tuple = ()
+        if canon & twins:
+            used: dict[int, int] = {}
+            for w in iter_bits(canon & twins):
+                used[cls_of[w]] = used.get(cls_of[w], 0) + 1
+            parts = tuple((class_mask[i], c) for i, c in used.items())
+        entry = (canon & ~twins, parts, (emb.pattern.n, canon, emb))
         for w in emb.image:
-            mask |= 1 << w
-        for w in emb.image:
-            per_vertex[w].append((mask, emb.pattern.n, emb))
+            if not below[w]:  # once per class: a canonical copy uses its first vertex
+                per_class[cls_of[w]].append(entry)
 
     # best coverable total from m free vertices, ignoring adjacency
-    sizes = sorted({emb.pattern.n for emb in options})
+    sizes = sorted({emb.pattern.n for emb in types.values()})
     fit = [0] * (host.n + 1)
     for m in range(1, host.n + 1):
         best = fit[m - 1]
@@ -365,38 +432,73 @@ def max_tiling(
         fit[m] = best
 
     best_count = 0
-    best_embs: tuple[Embedding, ...] = ()
-    chosen: list[Embedding] = []
+    best_chosen: tuple = ()  # (taken mask, option) per copy of the incumbent
+    # frames of the path: free mask, covered, the (taken mask, option) pairs
+    # that fit, the next one to try; all but the top one are inside the
+    # subtree of the option before their next one
+    stack: list[list] = []
+    dominance: dict[int, int] = {}
+    room = _DOMINANCE_MAX_BYTES // (104 + host.n // 8)  # an entry and its key
     nodes = 0
     budget_hit = False
 
-    def rec(free: int, covered: int) -> None:
-        nonlocal best_count, best_embs, nodes, budget_hit
-        if budget_hit:
-            return
+    def visit(free: int, covered: int) -> Optional[list]:
+        """Count a node; return its frame, or None when it is cut."""
+        nonlocal best_count, best_chosen, nodes, budget_hit
         nodes += 1
         if nodes > budget:
             budget_hit = True
-            return
+            return None
         if covered > best_count:
             best_count = covered
-            best_embs = tuple(chosen)
-        if not free or covered + fit[free.bit_count()] <= best_count:
-            return
-        v = (free & -free).bit_length() - 1
-        for mask, size, emb in per_vertex[v]:
-            if mask & free == mask:
-                chosen.append(emb)
-                rec(free & ~mask, covered + size)
-                chosen.pop()
-                if budget_hit:
-                    return
-        rec(free & ~(1 << v), covered)
+            best_chosen = tuple(f[2][f[3] - 1] for f in stack)
+        while True:
+            if not free or covered + fit[free.bit_count()] <= best_count:
+                return None
+            if dominance.get(free, -1) >= covered:
+                return None
+            if len(dominance) < room:
+                dominance[free] = covered
+            k = cls_of[(free & -free).bit_length() - 1]
+            fits = []
+            for fixed, parts, opt in per_class[k]:
+                if fixed & free == fixed:
+                    taken = _take_twins(free, fixed, parts) if parts else fixed
+                    if taken:
+                        fits.append((taken, opt))
+            if fits:
+                return [free, covered, fits, 0]
+            # free only shrinks, so no type through class k fits below here
+            free &= ~class_mask[k]
 
-    rec((1 << host.n) - 1, 0)
+    root = visit((1 << host.n) - 1, 0)
+    if root:
+        stack.append(root)
+    while stack and not budget_hit:
+        frame = stack[-1]
+        free, covered, fits, i = frame
+        if i < len(fits):
+            frame[3] = i + 1
+            taken, opt = fits[i]
+            child = visit(free & ~taken, covered + opt[0])
+        else:
+            stack.pop()
+            child = visit(free & (free - 1), covered)  # skip the lowest free vertex
+        if child:
+            stack.append(child)
+
+    def place(taken: int, opt: tuple) -> Embedding:
+        _size, canon, emb = opt
+        if taken == canon:
+            return emb
+        image = tuple(
+            list(iter_bits(taken & class_mask[cls_of[w]]))[below[w].bit_count()]
+            for w in emb.image
+        )
+        return Embedding(emb.pattern, image, emb.pattern_classes)
 
     return TilingResult(
-        tiling=Tiling(best_embs),
+        tiling=Tiling(tuple(place(taken, opt) for taken, opt in best_chosen)),
         covered_count=best_count,
         optimality="best-found" if budget_hit else "proven-optimal",
         reason="node-budget-hit" if budget_hit else None,

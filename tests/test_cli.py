@@ -375,6 +375,38 @@ def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sovle"], "argument command: invalid choice: 'sovle'"),
+        (["solve", "--host", "K3"], "the following arguments are required: --pattern"),
+        (["plotdata", "--pattern", "C5", "--n", "3", "--json"],
+         "unrecognized arguments: --json"),
+        (["gadgets", "--find", "kr", "--host", "K3", "--json"],
+         "unrecognized arguments: --json"),
+        (["thresholds", "--pattern", "C5", "--seed", "1"],
+         "unrecognized arguments: --seed 1"),
+        (["construct", "--family", "ex3", "--params", "{}", "--out", "x", "--budget", "5"],
+         "unrecognized arguments: --budget 5"),
+    ],
+    ids=["unknown-verb", "missing-argument", "plotdata-json", "gadgets-json",
+         "thresholds-seed", "construct-budget"],
+)
+def test_usage_errors_exit_1_not_inconclusive(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit")
+    assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sweep", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith("usage: tilekit")
+
+
 def _readme_cli_commands() -> list[list[str]]:
     text = README.read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

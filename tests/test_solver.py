@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_copies
-from tilekit.constructions import extremal_two
+from tilekit import solver
+from tilekit.constructions import extremal_three, extremal_two, lemma62_perfect_tiling
 from tilekit.graphs import (
     Graph,
     Tiling,
@@ -225,6 +226,58 @@ def test_tiling_result_rejects_unknown_optimality():
         TilingResult(tiling=Tiling(), covered_count=0, optimality="maybe")
 
 
+# Seeded hosts without twins, each with the tiling a search over all copies
+# returns: on such hosts every copy type is one copy, so these stay put.
+PINNED_TWIN_FREE = [
+    (1, 14, 0.35, [K3, K2], [[0, 4, 9], [1, 2, 13], [3, 7, 10], [5, 8], [11, 12]]),
+    (2, 16, 0.3, [C4], [[1, 6, 5, 8], [2, 3, 7, 9], [10, 14, 13, 15]]),
+    (3, 15, 0.5, [C5], [[0, 6, 13, 1, 12], [2, 3, 4, 10, 14], [5, 7, 8, 9, 11]]),
+    (4, 18, 0.25, [complete_multipartite([1, 2]).graph],
+     [[0, 1, 2], [4, 3, 8], [11, 5, 12], [15, 6, 7], [13, 9, 16], [10, 14, 17]]),
+    (5, 20, 0.4, [K3],
+     [[0, 7, 14], [1, 6, 11], [2, 8, 16], [3, 17, 18], [4, 9, 19], [5, 12, 13]]),
+    (6, 13, 0.45, [complete_multipartite([1, 2, 2]).graph, K3],
+     [[0, 5, 11], [2, 3, 7], [4, 8, 10]]),
+]
+
+
+@pytest.mark.parametrize("seed, n, p, patterns, images", PINNED_TWIN_FREE)
+def test_twin_free_tilings_are_pinned(seed, n, p, patterns, images):
+    rng = random.Random(seed)
+    host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    assert len(set(host.rows)) == n  # no two vertices are twins
+    result = max_tiling(host, patterns)
+    assert result.proven_optimal
+    assert [list(emb.image) for emb in result.tiling.embeddings] == images
+
+
+def test_twins_take_the_lowest_free_vertices():
+    # K_{2,3}: the K2s take 0-2 and 1-3 (the lowest twins of each class)
+    host = complete_multipartite([2, 3]).graph
+    result = max_tiling(host, [K2])
+    assert result.proven_optimal
+    assert [emb.image for emb in result.tiling.embeddings] == [(0, 2), (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "host, pattern, covered",
+    [
+        # ex3 bottleneck: classes 39, 161 and 160, every triangle needs the first
+        (extremal_three(K3, 360, Fraction(1, 3), Fraction(1, 360)).graph, K3, 117),
+        # Lemma 6.2 target B for bottle(3,1,2) blown up by 8: a perfect tiling
+        (lemma62_perfect_tiling("B", bottle_graph(3, 1, 2), 8).host.graph,
+         bottle_graph(3, 1, 2), 200),
+    ],
+    ids=["ex3-K3-n360", "lemma62-B312-B-m8"],
+)
+def test_blow_up_hosts_are_proven_within_budget(host, pattern, covered):
+    result = max_tiling(host, [pattern], budget=100_000)
+    assert result.proven_optimal
+    assert result.nodes <= 100_000
+    assert result.covered_count == covered
+    assert is_valid_tiling(host, result.tiling)
+
+
 # ---------------------------------------------------------------------------
 # resource limits
 # ---------------------------------------------------------------------------
@@ -236,6 +289,24 @@ def test_budget_exhaustion_downgrades_optimality():
     assert not result.proven_optimal
     assert result.optimality == "best-found"
     assert "node-budget-hit" in result.reason
+
+
+def test_long_path_needs_no_recursion():
+    n = 2500
+    result = max_tiling(Graph(n, [(v, v + 1) for v in range(n - 1)]), [K2])
+    assert result.proven_optimal
+    assert result.covered_count == n
+
+
+@pytest.mark.parametrize("table_bytes", [0, 1_000])
+def test_full_dominance_table_only_costs_pruning(monkeypatch, table_bytes):
+    host = lemma62_perfect_tiling("B", bottle_graph(3, 1, 2), 1).host.graph
+    full = max_tiling(host, [bottle_graph(3, 1, 2)])
+    monkeypatch.setattr(solver, "_DOMINANCE_MAX_BYTES", table_bytes)
+    capped = max_tiling(host, [bottle_graph(3, 1, 2)])
+    assert capped.proven_optimal
+    assert capped.tiling == full.tiling
+    assert capped.nodes > full.nodes
 
 
 def test_oracle_size_limit():
@@ -260,6 +331,37 @@ def test_solver_agrees_with_oracle(host: Graph):
     assert ours.covered_count == oracle.covered_count
     assert is_valid_tiling(host, ours.tiling)
     assert is_valid_tiling(host, oracle.tiling)
+
+
+@st.composite
+def blow_ups(draw: st.DrawFn) -> Graph:
+    """A base graph on at most 5 vertices, each vertex replaced by 1-4 twins
+    (n <= 16), with the host vertices shuffled so that classes interleave."""
+    b = draw(st.integers(min_value=1, max_value=5))
+    possible = [(i, j) for i in range(b) for j in range(i + 1, b)]
+    flips = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=b, max_size=b).filter(lambda s: sum(s) <= 16)
+    )
+    labels = iter(draw(st.permutations(range(sum(sizes)))))
+    blocks = [[next(labels) for _ in range(size)] for size in sizes]
+    return Graph(sum(sizes), [
+        (u, v)
+        for (i, j), keep in zip(possible, flips) if keep
+        for u in blocks[i] for v in blocks[j]
+    ])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(blow_ups(), st.lists(st.sampled_from([K2, K3, P3, C4, C5]), min_size=1, max_size=2))
+def test_blow_up_tilings_match_oracle(host: Graph, patterns):
+    patterns = [p for p in patterns if p.n <= host.n]
+    if not patterns:
+        return
+    ours = max_tiling(host, patterns)
+    assert ours.proven_optimal
+    assert ours.covered_count == max_tiling_oracle(host, patterns).covered_count
+    assert is_valid_tiling(host, ours.tiling)
 
 
 def test_adding_edges_never_hurts_coverage():
