@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -55,6 +54,8 @@ from .harness import (
     emit_boundline_plot_data,
     hajnal_szemeredi_suite,
     pattern_by_name,
+    read_params,
+    require_keys,
     run_figure2,
     solver_oracle_sweep,
     verify_extremal_suite,
@@ -103,22 +104,16 @@ def _load_tiling(path: str) -> tuple[Tiling, PartitionedGraph]:
     """Tiling JSON: {"pattern": {n, edges, classes}, "embeddings": [[...]]}."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    require_keys(data, ("pattern", "embeddings"), "tiling")
     pat = data["pattern"]
+    require_keys(pat, ("n", "edges", "classes"), "tiling pattern")
     g = Graph(pat["n"], [tuple(e) for e in pat["edges"]])
-    if "classes" not in pat:
-        raise ValueError("tiling pattern needs a 'classes' list (neck first)")
     classes = tuple(tuple(c) for c in pat["classes"])
     partitioned = PartitionedGraph(g, classes)
     embeddings = tuple(
         Embedding(g, tuple(img), classes) for img in data["embeddings"]
     )
     return Tiling(embeddings), partitioned
-
-
-def _rational(value) -> Fraction:
-    if isinstance(value, str):
-        return parse_rational(value)
-    return Fraction(value)
 
 
 def _line_payload(line) -> dict:
@@ -175,15 +170,7 @@ def cmd_thresholds(args) -> int:
 
 
 def _construct_ex1(params: dict):
-    spec = ExtremalOneSpec(
-        r=int(params["r"]),
-        sigma=int(params["sigma"]),
-        omega=int(params["omega"]),
-        n=int(params["n"]),
-        eta=_rational(params["eta"]),
-        k=int(params["k"]),
-    )
-    inst = extremal_one(spec)
+    inst = extremal_one(ExtremalOneSpec(**params))
     sidecar = {
         "family": "ex1",
         "classes": [list(c) for c in inst.host.classes],
@@ -194,8 +181,7 @@ def _construct_ex1(params: dict):
 
 
 def _construct_ex2(params: dict):
-    pattern = pattern_by_name(params["pattern"])
-    inst = extremal_two(pattern, int(params["n"]), _rational(params["eta"]))
+    inst = extremal_two(**params)
     sidecar = {
         "family": "ex2",
         "classes": [list(c) for c in inst.host.classes],
@@ -205,17 +191,13 @@ def _construct_ex2(params: dict):
 
 
 def _construct_ex3(params: dict):
-    pattern = pattern_by_name(params["pattern"])
-    host = extremal_three(
-        pattern, int(params["n"]), _rational(params["x"]), _rational(params["eta"])
-    )
+    host = extremal_three(**params)
     sidecar = {"family": "ex3", "classes": [list(c) for c in host.classes]}
     return host.graph, sidecar
 
 
 def _construct_hstar(params: dict):
-    pattern = pattern_by_name(params["pattern"])
-    result = build_hstar(HStarSpec(pattern, _rational(params["sigma_prime"])))
+    result = build_hstar(HStarSpec(**params))
     sidecar = {
         "family": "hstar",
         "classes": [list(c) for c in result.hstar.classes],
@@ -227,8 +209,7 @@ def _construct_hstar(params: dict):
 
 
 def _construct_h1(params: dict):
-    pattern = pattern_by_name(params["pattern"])
-    result = build_h1(pattern, _rational(params["x"]))
+    result = build_h1(**params)
     sidecar = {
         "family": "h1",
         "classes": [list(c) for c in result.h1.classes],
@@ -238,8 +219,8 @@ def _construct_h1(params: dict):
 
 
 def _construct_lemma62(params: dict):
-    B = bottle_graph(int(params["r"]), int(params["sigma"]), int(params["omega"]))
-    result = lemma62_perfect_tiling(params["target"], B, int(params.get("m", 1)))
+    B = bottle_graph(params["r"], params["sigma"], params["omega"])
+    result = lemma62_perfect_tiling(params["target"], B, params["m"])
     sidecar = {
         "family": "lemma62",
         "target": params["target"],
@@ -261,7 +242,7 @@ _CONSTRUCTORS = {
 
 
 def cmd_construct(args) -> int:
-    params = _load_json_arg(args.params)
+    params = read_params(args.family, _load_json_arg(args.params))
     graph, sidecar = _CONSTRUCTORS[args.family](params)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(emit_edge_list(graph))

@@ -49,7 +49,6 @@ __all__ = [
     "HStarSpec",
     "Lemma62Result",
     "LEMMA62_TARGETS",
-    "apex_augment",
     "build_h1",
     "build_hstar",
     "dip_exclusion_witness",
@@ -275,21 +274,6 @@ def extremal_three(pattern: Graph, n: int, x: Rational, eta: Rational) -> Partit
         raise ValueError(f"class sizes {sizes} must all be positive")
     assert sum(sizes) == n
     return complete_multipartite(sizes)
-
-
-# ---------------------------------------------------------------------------
-# apex augmentation
-# ---------------------------------------------------------------------------
-
-def apex_augment(g: Graph, tau_count: int) -> Graph:
-    """Add tau_count universal vertices (adjacent to everything, mutually too)."""
-    if tau_count < 0:
-        raise ValueError("tau_count must be >= 0")
-    n = g.n
-    edges = list(g.edges())
-    for w in range(n, n + tau_count):
-        edges.extend((u, w) for u in range(w))
-    return Graph(n + tau_count, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,12 @@ finders are exact: eligibility is decided per (vertex, copy) pair straight
 from the definition, and realizability of a full set reduces to maximum
 bipartite matching, so `none` really means no such set exists.
 
-The remaining gadgets are the greedy clique extraction, the exhaustive
-epsilon-regularity check on small sides, and the symbolic verifier that a
-degree-sequence bound survives blowing up every vertex s times.
+The remaining gadgets are the greedy clique extraction and the exhaustive
+epsilon-regularity check on small sides.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,95 +20,31 @@ from typing import Optional, Sequence, Union
 from .graphs import (
     Embedding,
     Graph,
-    PartitionedGraph,
     Tiling,
     ValidationReport,
     VertexOrdering,
     bottle_shape,
     iter_bits,
 )
-from .solver import enumerate_copies
-from .thresholds import BoundLine, DegreeCheck, check_degree_sequence
 
 __all__ = [
-    "BlowupReport",
     "ExpandingSet",
     "GreedyFailure",
     "GreedyKrParams",
     "RegularityResult",
     "RegularityWitness",
-    "SlackParams",
-    "SmallBigReport",
-    "StepOutcome",
     "SwappingSet",
     "check_expanding_set",
     "check_swapping_set",
     "epsilon_regular_check",
-    "expand_or_swap_step",
     "find_expanding_set",
     "find_swapping_set",
     "greedy_kr",
-    "small_big_split",
-    "verify_blowup_inheritance",
 ]
 
 Rational = Union[int, Fraction]
 
 REGULARITY_MAX_SIDE = 10
-
-
-# ---------------------------------------------------------------------------
-# parameter bundles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlackParams:
-    """Slack hierarchy for the expand-or-swap step.
-
-    gamma controls the requested set size (gamma * n) and eta the degree
-    slack; the hierarchy gamma << 1/m << eta is enforced at construction as
-    gamma <= eta / (10 m).
-    """
-
-    eta: Fraction
-    gamma: Fraction
-    m: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", Fraction(self.eta))
-        object.__setattr__(self, "gamma", Fraction(self.gamma))
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.gamma > self.eta / (10 * self.m):
-            raise ValueError(
-                f"need gamma <= eta/(10 m) = {self.eta / (10 * self.m)}, "
-                f"got gamma = {self.gamma}"
-            )
-
-
-@dataclass(frozen=True)
-class GreedyKrParams:
-    """Bottle-shape parameters driving the greedy clique extraction."""
-
-    r: int
-    sigma: int
-    omega: int
-    eta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", Fraction(self.eta))
-        if self.r < 2:
-            raise ValueError("need r >= 2")
-        if not 1 <= self.sigma <= self.omega:
-            raise ValueError("need 1 <= sigma <= omega")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-    @property
-    def b(self) -> int:
-        return self.sigma + (self.r - 1) * self.omega
 
 
 # ---------------------------------------------------------------------------
@@ -354,88 +288,31 @@ def check_swapping_set(G: Graph, T: Tiling, ss: SwappingSet) -> ValidationReport
 
 
 # ---------------------------------------------------------------------------
-# the expand-or-swap step
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SmallBigReport:
-    """Uncovered vertices split at the degree threshold, ordering order."""
-
-    small: tuple[int, ...]
-    big: tuple[int, ...]
-    threshold: Fraction
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    kind: str  # expanding | swapping | new-copy | exhausted
-    expanding: Optional[ExpandingSet] = None
-    swapping: Optional[SwappingSet] = None
-    new_copy: Optional[Embedding] = None
-    report: Optional[SmallBigReport] = None
-
-
-def small_big_split(
-    G: Graph,
-    T: Tiling,
-    pattern: PartitionedGraph,
-    params: SlackParams,
-    ordering: VertexOrdering,
-) -> SmallBigReport:
-    """Split uncovered vertices at ((b - omega)/b) n + (eta - 2 gamma) n.
-
-    Exact rational comparison; both halves come back in ordering order.
-    """
-    r, sigma, omega = bottle_shape(pattern.class_sizes(), params.m)
-    b = sigma + (r - 1) * omega
-    n = G.n
-    threshold = Fraction(b - omega, b) * n + (params.eta - 2 * params.gamma) * n
-    uncovered = sorted(
-        (v for v in range(n) if v not in T.covered), key=ordering.position
-    )
-    small = tuple(v for v in uncovered if G.degree(v) <= threshold)
-    big = tuple(v for v in uncovered if G.degree(v) > threshold)
-    return SmallBigReport(small=small, big=big, threshold=threshold)
-
-
-def expand_or_swap_step(
-    G: Graph,
-    T: Tiling,
-    pattern: PartitionedGraph,
-    params: SlackParams,
-    ordering: VertexOrdering,
-) -> StepOutcome:
-    """One step of the expand-or-swap dichotomy, with two desk-scale exits.
-
-    Tries, in order: an expanding set of size ceil(gamma n); a swapping set
-    of the same size with offset ceil(omega gamma n / sigma); a fresh
-    pattern copy among the uncovered vertices; otherwise reports the
-    small/big split of the uncovered vertices.  T need not be maximum; the
-    new-copy exit is what lets a driver loop this step toward maximality.
-    """
-    n = G.n
-    ell = math.ceil(params.gamma * n)
-    es = find_expanding_set(G, T, ell)
-    if es is not None:
-        return StepOutcome(kind="expanding", expanding=es)
-    _, sigma, omega = bottle_shape(pattern.class_sizes(), params.m)
-    offset = math.ceil(Fraction(omega, sigma) * params.gamma * n)
-    ss = find_swapping_set(G, T, ordering, offset, ell, m=params.m)
-    if ss is not None:
-        return StepOutcome(kind="swapping", swapping=ss)
-    uncovered = [v for v in range(n) if v not in T.covered]
-    if len(uncovered) >= pattern.graph.n:
-        catalog = enumerate_copies(G, pattern, cap=1, within=uncovered)
-        if catalog.copies:
-            return StepOutcome(kind="new-copy", new_copy=catalog.copies[0])
-    return StepOutcome(
-        kind="exhausted", report=small_big_split(G, T, pattern, params, ordering)
-    )
-
-
-# ---------------------------------------------------------------------------
 # greedy clique extraction
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class GreedyKrParams:
+    """Bottle-shape parameters driving the greedy clique extraction."""
+
+    r: int
+    sigma: int
+    omega: int
+    eta: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eta", Fraction(self.eta))
+        if self.r < 2:
+            raise ValueError("need r >= 2")
+        if not 1 <= self.sigma <= self.omega:
+            raise ValueError("need 1 <= sigma <= omega")
+        if self.eta <= 0:
+            raise ValueError("eta must be positive")
+
+    @property
+    def b(self) -> int:
+        return self.sigma + (self.r - 1) * self.omega
+
 
 @dataclass(frozen=True)
 class GreedyFailure:
@@ -550,61 +427,3 @@ def epsilon_regular_check(
                 )
     return RegularityResult(regular=True, epsilon=eps, density=density)
 
-
-# ---------------------------------------------------------------------------
-# blow-up degree inheritance
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BlowupReport:
-    """Outcome of the symbolic blow-up degree-inheritance check.
-
-    When input_check fails, the conclusion is skipped and ok is False.  On a
-    conclusion failure, failed_index / blown_degree / required describe the
-    first bad index of the blown sequence (1-based).
-    """
-
-    ok: bool
-    input_check: DegreeCheck
-    scale: int
-    failed_index: Optional[int] = None
-    blown_degree: Optional[int] = None
-    required: Optional[Fraction] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_blowup_inheritance(G: Graph, s: int, line: BoundLine) -> BlowupReport:
-    """Check that blowing up G by s inherits the shifted degree bound.
-
-    Uses the identity that the j-th smallest blown degree equals s times
-    the ceil(j/s)-th smallest original degree, so no blown graph is ever
-    materialized.  Asserts, for every i up to floor(cutoff n s):
-
-        blown_degree(i) >= intercept*n*s + slope*i + (slack*n - slope)*s
-    """
-    if s < 1:
-        raise ValueError("scale must be >= 1")
-    base = check_degree_sequence(G, line)
-    if not base:
-        return BlowupReport(ok=False, input_check=base, scale=s)
-    degs = sorted(G.degrees())
-    n = G.n
-    last = math.floor(line.cutoff * n * s)
-    for i in range(1, last + 1):
-        j = -(-i // s)
-        blown = s * degs[j - 1]
-        required = (
-            line.intercept * n * s + line.slope * i + (line.slack * n - line.slope) * s
-        )
-        if blown < required:
-            return BlowupReport(
-                ok=False,
-                input_check=base,
-                scale=s,
-                failed_index=i,
-                blown_degree=blown,
-                required=required,
-            )
-    return BlowupReport(ok=True, input_check=base, scale=s)

@@ -125,12 +125,6 @@ class PartitionedGraph:
     def r(self) -> int:
         return len(self.classes)
 
-    def class_index(self, v: int) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise KeyError(v)
-
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 

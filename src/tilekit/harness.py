@@ -46,6 +46,7 @@ from .thresholds import (
     check_degree_sequence,
     format_rational,
     komlos_line,
+    parse_rational,
 )
 
 __all__ = [
@@ -62,6 +63,8 @@ __all__ = [
     "random_host",
     "random_min_degree_host",
     "random_tiling_instance",
+    "read_params",
+    "require_keys",
     "run_figure2",
     "solver_oracle_sweep",
     "verify_extremal_suite",
@@ -173,6 +176,77 @@ def pattern_by_name(name: str) -> Graph:
 
 
 # ---------------------------------------------------------------------------
+# parameter points
+# ---------------------------------------------------------------------------
+
+# the keys of each family's parameters, as the constructors name them
+_PARAM_KEYS = {
+    "ex1": ("r", "sigma", "omega", "n", "eta", "k"),
+    "ex2": ("pattern", "n", "eta"),
+    "ex3": ("pattern", "n", "x", "eta"),
+    "hstar": ("pattern", "sigma_prime"),
+    "h1": ("pattern", "x"),
+    "lemma62": ("r", "sigma", "omega", "target", "m"),
+}
+_PARAM_DEFAULTS = {"m": 1}
+
+
+def require_keys(data, keys: Sequence[str], what: str) -> None:
+    """ValueError naming `what` and each of `keys` missing from `data`."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: not a JSON object: {data!r}")
+    missing = [k for k in keys if k not in data]
+    if missing:
+        raise ValueError(f"{what}: missing {', '.join(map(repr, missing))}")
+
+
+def _rational_param(value) -> Fraction:
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+
+
+def _int_param(value) -> int:
+    q = _rational_param(value)
+    if q.denominator != 1:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(q)
+
+
+def _pattern_param(value) -> Graph:
+    if not isinstance(value, str):
+        raise TypeError(f"a pattern is given by its name, got {value!r}")
+    return pattern_by_name(value)
+
+
+# how each value is read; every other key is an integer
+_PARAM_READERS = {
+    "pattern": _pattern_param,
+    "target": str,
+    "eta": _rational_param,
+    "x": _rational_param,
+    "sigma_prime": _rational_param,
+}
+
+
+def read_params(family: str, point) -> dict:
+    """A family's parameters from a JSON object, each value in its type.
+
+    Rationals are "p/q" strings or numbers and patterns are names.  A missing
+    key or an unreadable value raises ValueError naming the family and key.
+    """
+    keys = _PARAM_KEYS[family]
+    required = [k for k in keys if k not in _PARAM_DEFAULTS]
+    require_keys(point, required, f"{family} parameters")
+    out = {}
+    for key in keys:
+        value = point.get(key, _PARAM_DEFAULTS.get(key))
+        try:
+            out[key] = _PARAM_READERS.get(key, _int_param)(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{family} parameter {key!r}: {exc}") from None
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the reference threshold table
 # ---------------------------------------------------------------------------
 
@@ -228,44 +302,22 @@ class Figure2Table:
         return {"rows": [r.to_dict() for r in self.rows], "all_match": self.all_match}
 
 
-def _figure2_reference() -> dict[str, tuple[Optional[Fraction], Fraction, Fraction]]:
-    table: dict[str, tuple[Optional[Fraction], Fraction, Fraction]] = {
-        "C5": (Fraction(2, 5), Fraction(3, 5), Fraction(1, 2)),
-        "K_{2,4,6}": (Fraction(5, 12), Fraction(7, 12), Fraction(2, 5)),
-    }
-    for t in range(1, 6):
-        # the star rows bound d_1 by an absolute constant, so no start cell
-        table[f"K_{{1,{t}}}"] = (None, Fraction(1, t + 1), Fraction(1, t))
-    for t in range(3, 7):
-        table[f"K_{t}"] = (Fraction(t - 2, t), Fraction(t - 1, t), Fraction(1))
-    return table
+# (name, start, end, slope) per row; the star rows bound d_1 by an absolute
+# constant, so they have no start cell
+_FIGURE2_REFERENCE: tuple[tuple[str, Optional[Fraction], Fraction, Fraction], ...] = (
+    ("C5", Fraction(2, 5), Fraction(3, 5), Fraction(1, 2)),
+    *((f"K_{{1,{t}}}", None, Fraction(1, t + 1), Fraction(1, t)) for t in range(1, 6)),
+    *((f"K_{t}", Fraction(t - 2, t), Fraction(t - 1, t), Fraction(1)) for t in range(3, 7)),
+    ("K_{2,4,6}", Fraction(5, 12), Fraction(7, 12), Fraction(2, 5)),
+)
 
 
-def _default_figure2_patterns() -> list[tuple[str, Graph]]:
-    out: list[tuple[str, Graph]] = [("C5", cycle_graph(5))]
-    out.extend(
-        (f"K_{{1,{t}}}", complete_multipartite([1, t]).graph) for t in range(1, 6)
-    )
-    out.extend((f"K_{t}", complete_multipartite([1] * t).graph) for t in range(3, 7))
-    out.append(("K_{2,4,6}", complete_multipartite([2, 4, 6]).graph))
-    return out
-
-
-def run_figure2(
-    patterns: Optional[Sequence[tuple[str, Graph]]] = None,
-) -> Figure2Table:
-    """Start/end/slope coefficients of the degree bound, per pattern.
-
-    With the default pattern list the computed cells are compared against
-    the reference table (rational equality); custom patterns get computed
-    cells only.
-    """
-    named = _default_figure2_patterns() if patterns is None else list(patterns)
-    reference = _figure2_reference() if patterns is None else {}
+def run_figure2() -> Figure2Table:
+    """Start/end/slope coefficients of the degree bound for the reference
+    patterns, each compared against the reference table (rational equality)."""
     rows = []
-    for name, g in named:
-        line = komlos_line(chromatic_data(g))
-        want = reference.get(name, (None, None, None))
+    for name, *want in _FIGURE2_REFERENCE:
+        line = komlos_line(chromatic_data(pattern_by_name(name)))
         rows.append(
             Figure2Row(
                 name=name,
@@ -335,16 +387,10 @@ def random_host(n: int, seed: int, edge_prob: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
-def random_min_degree_host(r: int, n: int, seed: int) -> Graph:
-    """Graph with min degree >= (1 - 1/r) n: balanced r-partite plus noise.
-
-    The balanced complete r-partite base already meets the bound when r
-    divides n; seeded extra edges inside classes only raise degrees.
-    """
-    if r < 2 or n % r:
-        raise ValueError("need r >= 2 and r | n")
-    k = n // r
-    base = complete_multipartite([k] * r)
+def _multipartite_plus_noise(sizes: Sequence[int], seed: int) -> Graph:
+    """Complete multipartite graph on `sizes` plus a seeded random set of
+    the edges inside its classes."""
+    base = complete_multipartite(sizes)
     rng = random.Random(seed)
     inside = [
         (u, v)
@@ -353,7 +399,18 @@ def random_min_degree_host(r: int, n: int, seed: int) -> Graph:
         for v in cls[i + 1 :]
     ]
     extra = rng.sample(inside, rng.randint(0, len(inside)))
-    return Graph(n, list(base.graph.edges()) + extra)
+    return Graph(base.graph.n, list(base.graph.edges()) + extra)
+
+
+def random_min_degree_host(r: int, n: int, seed: int) -> Graph:
+    """Graph with min degree >= (1 - 1/r) n: balanced r-partite plus noise.
+
+    The balanced complete r-partite base already meets the bound when r
+    divides n; seeded extra edges inside classes only raise degrees.
+    """
+    if r < 2 or n % r:
+        raise ValueError("need r >= 2 and r | n")
+    return _multipartite_plus_noise([n // r] * r, seed)
 
 
 def _recover_bottle_fractions(line: BoundLine) -> tuple[int, Fraction, Fraction]:
@@ -405,28 +462,17 @@ def generate_satisfying_instance(line: BoundLine, n: int, seed: int) -> Graph:
         lo = sizes.index(min(sizes))
         sizes[hi] -= 1
         sizes[lo] += 1
-    base = complete_multipartite([s for s in sizes if s > 0])
-    rng = random.Random(seed)
-    inside = [
-        (u, v)
-        for cls in base.classes
-        for i, u in enumerate(cls)
-        for v in cls[i + 1 :]
-    ]
-    extra = rng.sample(inside, rng.randint(0, len(inside)))
-    g = Graph(n, list(base.graph.edges()) + extra)
+    g = _multipartite_plus_noise([s for s in sizes if s > 0], seed)
     final = check_degree_sequence(g, line)
     if not final:
         raise AssertionError(f"perturbed instance lost the bound at {final.index}")
     return g
 
 
-def random_tiling_instance(
-    seed: int, *, max_copies: int = 6
-) -> tuple[Graph, Tiling, PartitionedGraph]:
+def random_tiling_instance(seed: int) -> tuple[Graph, Tiling, PartitionedGraph]:
     """Seeded (host, tiling, pattern) triple for gadget-finder testing.
 
-    A few disjoint aligned bottle copies, a handful of outside vertices,
+    One to six disjoint aligned bottle copies, one to four outside vertices,
     and seeded extra edges sprinkled anywhere (extra edges never invalidate
     the planted embeddings).
     """
@@ -436,7 +482,7 @@ def random_tiling_instance(
     omega = sigma + rng.choice([0, 1])
     pattern = bottle_graph(r, sigma, omega)
     b = pattern.graph.n
-    ncopies = rng.randint(1, max_copies)
+    ncopies = rng.randint(1, 6)
     outside = rng.randint(1, 4)
     n = ncopies * b + outside
     edges = []
@@ -473,30 +519,15 @@ def _solve_record_details(result) -> dict:
 
 
 def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
-    spec = ExtremalOneSpec(
-        r=point["r"],
-        sigma=point["sigma"],
-        omega=point["omega"],
-        n=point["n"],
-        eta=Fraction(point["eta"]),
-        k=point["k"],
-    )
+    spec = ExtremalOneSpec(**point)
     inst = extremal_one(spec)
     pattern = bottle_graph(spec.r, spec.sigma, spec.omega)
     misses_required = math.ceil(Fraction(3, 2) * spec.eta * spec.n)
-    params = {
-        "r": spec.r,
-        "sigma": spec.sigma,
-        "omega": spec.omega,
-        "n": spec.n,
-        "eta": spec.eta,
-        "k": spec.k,
-    }
     if inst.host.graph.n > ORACLE_MAX_VERTICES:
         return InstanceRecord(
             label=f"staircase-n{spec.n}-k{spec.k}",
             verdict="inconclusive",
-            params=params,
+            params=point,
             details={"reason": "host too large for the exhaustive oracle"},
         )
     result = max_tiling_oracle(
@@ -517,17 +548,13 @@ def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
     return InstanceRecord(
         label=f"staircase-n{spec.n}-k{spec.k}",
         verdict=verdict,
-        params=params,
+        params=point,
         details=details,
     )
 
 
 def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
-    pattern = point["pattern"]
-    if isinstance(pattern, str):
-        pattern = pattern_by_name(pattern)
-    n = point["n"]
-    eta = Fraction(point["eta"])
+    pattern, n, eta = point["pattern"], point["n"], point["eta"]
     inst = extremal_two(pattern, n, eta)
     catalog = enumerate_copies(
         inst.host.graph, pattern, cap=1, touching=inst.v_prime
@@ -557,12 +584,7 @@ def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
 
 
 def _extremal_three_record(point: dict, budget: int) -> InstanceRecord:
-    pattern = point["pattern"]
-    if isinstance(pattern, str):
-        pattern = pattern_by_name(pattern)
-    n = point["n"]
-    x = Fraction(point["x"])
-    eta = Fraction(point["eta"])
+    pattern, n, x, eta = point["pattern"], point["n"], point["x"], point["eta"]
     host = extremal_three(pattern, n, x, eta)
     result = max_tiling(host.graph, [pattern], budget=budget)
     bound = (x - eta) * n
@@ -604,12 +626,13 @@ def verify_extremal_suite(
          A capped count is marked as a lower bound.
     ex3: the maximum tiling covers fewer than (x - eta) n vertices.
 
-    A budget-limited solve downgrades the record to inconclusive.
+    Points are read by :func:`read_params`.  A budget-limited solve
+    downgrades the record to inconclusive.
     """
     if family not in _EXTREMAL_RUNNERS:
         raise ValueError(f"unknown family {family!r}; pick one of ex1, ex2, ex3")
     runner = _EXTREMAL_RUNNERS[family]
-    records = tuple(runner(dict(point), budget) for point in grid)
+    records = tuple(runner(read_params(family, point), budget) for point in grid)
     return ExperimentReport(experiment=f"extremal-{family}", records=records)
 
 

@@ -300,7 +300,9 @@ class TilingResult:
     """Outcome of a maximum-tiling search.
 
     optimality is "proven-optimal" only when the search tree was exhausted
-    within the node budget; otherwise "best-found" with the reason.
+    within the node budget, or the tiling met the search's upper bound;
+    otherwise "best-found" with the reason.  ``nodes`` never exceeds the
+    budget.
     """
 
     tiling: Tiling
@@ -358,9 +360,10 @@ def max_tiling(
     is dropped at once.  A subtree is cut when covered + the best coin sum
     of pattern sizes within the free count cannot beat the incumbent, or
     when the dominance table (free mask -> most covered seen there) holds an
-    earlier visit with at least as much covered.  The search runs on an
-    explicit stack; the table stops growing at about
-    ``_DOMINANCE_MAX_BYTES``, which only costs pruning.
+    earlier visit with at least as much covered.  The search stops, proven
+    optimal, as soon as a tiling covers the root bound (the best coin sum
+    within n).  It runs on an explicit stack; the table stops growing at
+    about ``_DOMINANCE_MAX_BYTES``, which only costs pruning.
 
     The first tiling attaining the optimum in this deterministic order is
     returned, each type's witness moved onto the twins it took (the j-th
@@ -445,10 +448,10 @@ def max_tiling(
     def visit(free: int, covered: int) -> Optional[list]:
         """Count a node; return its frame, or None when it is cut."""
         nonlocal best_count, best_chosen, nodes, budget_hit
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             budget_hit = True
             return None
+        nodes += 1
         if covered > best_count:
             best_count = covered
             best_chosen = tuple(f[2][f[3] - 1] for f in stack)
@@ -474,7 +477,8 @@ def max_tiling(
     root = visit((1 << host.n) - 1, 0)
     if root:
         stack.append(root)
-    while stack and not budget_hit:
+    # an incumbent at the root bound is optimal, so the search stops there
+    while stack and not budget_hit and best_count < fit[host.n]:
         frame = stack[-1]
         free, covered, fits, i = frame
         if i < len(fits):

@@ -346,26 +346,11 @@ def _tiling_without_embeddings(tmp_path) -> str:
     "argv, error",
     [
         (
-            lambda tmp: ["construct", "--family", "ex3", "--params", "{}",
-                         "--out", str(tmp / "x.el")],
-            "KeyError",
-        ),
-        (
-            lambda tmp: ["gadgets", "--find", "expand", "--host", "K3",
-                         "--tiling", _tiling_without_embeddings(tmp)],
-            "KeyError",
-        ),
-        (
-            lambda tmp: ["verify", "--family", "ex3", "--grid", '[{"pattern": "K3"}]'],
-            "KeyError",
-        ),
-        (
             lambda tmp: ["solve", "--host", str(tmp), "--pattern", "K3"],
             "IsADirectoryError",
         ),
     ],
-    ids=["construct-missing-key", "tiling-without-embeddings", "grid-missing-key",
-         "host-is-a-directory"],
+    ids=["host-is-a-directory"],
 )
 def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
     code, out, err = run(capsys, *argv(tmp_path))
@@ -373,6 +358,33 @@ def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
     assert out == ""
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            lambda tmp: ["construct", "--family", "ex3", "--params", "{}",
+                         "--out", str(tmp / "x.el")],
+            "ex3 parameters: missing 'pattern', 'n', 'x', 'eta'",
+        ),
+        (
+            lambda tmp: ["gadgets", "--find", "expand", "--host", "K3",
+                         "--tiling", _tiling_without_embeddings(tmp)],
+            "tiling: missing 'embeddings'",
+        ),
+        (
+            lambda tmp: ["verify", "--family", "ex3", "--grid", '[{"pattern": "K3"}]'],
+            "ex3 parameters: missing 'n', 'x', 'eta'",
+        ),
+    ],
+    ids=["construct-missing-key", "tiling-without-embeddings", "grid-missing-key"],
+)
+def test_missing_json_keys_exit_1_with_the_key(capsys, tmp_path, argv, message):
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

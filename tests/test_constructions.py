@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from tilekit.constructions import (
     ExtremalOneSpec,
     HStarSpec,
-    apex_augment,
     build_h1,
     build_hstar,
     dip_exclusion_witness,
@@ -178,27 +177,6 @@ def test_extremal_three_validation():
         extremal_three(K3, 19, Fraction(1, 3), Fraction(1, 19))
     with pytest.raises(ValueError, match="positive"):
         extremal_three(K3, 18, Fraction(1, 3), Fraction(1, 2))
-
-
-# ---------------------------------------------------------------------------
-# apex augmentation
-# ---------------------------------------------------------------------------
-
-
-def test_apex_augment():
-    g = Graph(3, [(0, 1)])
-    aug = apex_augment(g, 2)
-    assert aug.n == 5
-    assert aug.degree(3) == 4 and aug.degree(4) == 4
-    assert aug.has_edge(3, 4)
-    assert aug.degree(2) == 2
-    with pytest.raises(ValueError):
-        apex_augment(g, -1)
-
-
-def test_apex_augment_zero_is_identity():
-    g = Graph(4, [(0, 1), (2, 3)])
-    assert apex_augment(g, 0) == g
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Structural gadget tests: expanding/swapping sets, greedy cliques,
-regularity, blow-up inheritance.
+regularity.
 
 The matching-based finders are compared against the brute-force existence
 oracles in _oracles.py on randomly planted tilings.
@@ -18,28 +18,22 @@ from tilekit.gadgets import (
     ExpandingSet,
     GreedyFailure,
     GreedyKrParams,
-    SlackParams,
     SwappingSet,
     check_expanding_set,
     check_swapping_set,
     epsilon_regular_check,
-    expand_or_swap_step,
     find_expanding_set,
     find_swapping_set,
     greedy_kr,
-    small_big_split,
-    verify_blowup_inheritance,
 )
 from tilekit.graphs import (
     Embedding,
     Graph,
     Tiling,
     VertexOrdering,
-    bottle_graph,
     complete_multipartite,
 )
 from tilekit.harness import random_tiling_instance
-from tilekit.thresholds import chromatic_data, komlos_line
 
 PROPERTY_SETTINGS = settings(
     max_examples=40,
@@ -60,19 +54,6 @@ def k3_copy(u: int, v: int, w: int) -> Embedding:
 # ---------------------------------------------------------------------------
 # parameter bundles
 # ---------------------------------------------------------------------------
-
-
-def test_slack_params_hierarchy():
-    SlackParams(eta=Fraction(1, 10), gamma=Fraction(1, 100))
-    with pytest.raises(ValueError, match="gamma <= eta"):
-        SlackParams(eta=Fraction(1, 10), gamma=Fraction(1, 50))
-    with pytest.raises(ValueError, match="positive"):
-        SlackParams(eta=Fraction(1, 10), gamma=0)
-    with pytest.raises(ValueError, match="m must be"):
-        SlackParams(eta=Fraction(1, 10), gamma=Fraction(1, 200), m=0)
-    # larger m tightens the gamma cap
-    with pytest.raises(ValueError, match="gamma <= eta"):
-        SlackParams(eta=Fraction(1, 10), gamma=Fraction(1, 100), m=2)
 
 
 def test_greedy_params_validation():
@@ -217,70 +198,6 @@ def test_swapping_finder_matches_brute_force(seed: int, k: int, size: int):
 
 
 # ---------------------------------------------------------------------------
-# the expand-or-swap step
-# ---------------------------------------------------------------------------
-
-STEP_PARAMS = SlackParams(eta=Fraction(1, 10), gamma=Fraction(1, 100))
-K3_BOTTLE = bottle_graph(3, 1, 1)
-
-
-def test_small_big_threshold_frozen():
-    pattern = bottle_graph(2, 1, 2)  # b = 3, omega = 2
-    g = Graph(300)
-    report = small_big_split(
-        g, Tiling(), pattern, STEP_PARAMS, VertexOrdering.by_degree(g)
-    )
-    assert report.threshold == 124
-    assert len(report.small) == 300 and not report.big
-
-
-def test_small_big_split_orders_by_ordering():
-    host = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)])
-    ordering = VertexOrdering.by_degree(host)
-    report = small_big_split(host, Tiling(), K3_BOTTLE, STEP_PARAMS, ordering)
-    both = list(report.small) + list(report.big)
-    assert sorted(both) == list(range(6))
-    for seq in (report.small, report.big):
-        positions = [ordering.position(v) for v in seq]
-        assert positions == sorted(positions)
-
-
-def test_step_prefers_expansion():
-    host = Graph(4, [(0, 1), (1, 2), (2, 0), (3, 1), (3, 2)])
-    tiling = Tiling((k3_copy(0, 1, 2),))
-    out = expand_or_swap_step(
-        host, tiling, K3_BOTTLE, STEP_PARAMS, VertexOrdering.by_degree(host)
-    )
-    assert out.kind == "expanding"
-    assert out.expanding.vertices == (3,)
-
-
-def test_step_falls_back_to_swapping():
-    host, tiling, ordering = _swap_fixture()
-    out = expand_or_swap_step(host, tiling, K3_BOTTLE, STEP_PARAMS, ordering)
-    assert out.kind == "swapping"
-    assert out.swapping.pairs == ((3, 2),)
-
-
-def test_step_finds_new_copy_with_empty_tiling():
-    host = Graph(3, [(0, 1), (1, 2), (2, 0)])
-    out = expand_or_swap_step(
-        host, Tiling(), K3_BOTTLE, STEP_PARAMS, VertexOrdering.by_degree(host)
-    )
-    assert out.kind == "new-copy"
-    assert out.new_copy.image_set == frozenset({0, 1, 2})
-
-
-def test_step_exhausted_reports_split():
-    host = Graph(4)
-    out = expand_or_swap_step(
-        host, Tiling(), K3_BOTTLE, STEP_PARAMS, VertexOrdering.by_degree(host)
-    )
-    assert out.kind == "exhausted"
-    assert set(out.report.small) == {0, 1, 2, 3}
-
-
-# ---------------------------------------------------------------------------
 # greedy clique extraction
 # ---------------------------------------------------------------------------
 
@@ -397,53 +314,3 @@ def test_regularity_matches_fraction_brute_force(raw_edges: list, eps: Fraction)
     violation = regularity_violation(range(4), range(4, 8), g, eps)
     assert result.regular == (violation is None)
 
-
-# ---------------------------------------------------------------------------
-# blow-up inheritance
-# ---------------------------------------------------------------------------
-
-
-def test_blowup_inheritance_on_a_passing_host():
-    line = komlos_line(chromatic_data(C5))
-    host = complete_multipartite([6, 12, 12]).graph
-    for s in (1, 2, 3):
-        report = verify_blowup_inheritance(host, s, line)
-        assert report
-        assert report.scale == s
-
-
-def test_blowup_input_failure_short_circuits():
-    line = komlos_line(chromatic_data(C5))
-    report = verify_blowup_inheritance(C5, 2, line)
-    assert not report
-    assert not report.input_check
-    assert report.failed_index is None
-
-
-def test_blowup_identity_matches_materialized_graph():
-    from tilekit.graphs import blow_up
-    from tilekit.thresholds import check_degree_sequence
-
-    line = komlos_line(chromatic_data(K3))
-    host = complete_multipartite([3, 3, 3]).graph
-    s = 3
-    report = verify_blowup_inheritance(host, s, line)
-    blown = blow_up(host, s).graph
-    # the symbolic check agrees with the literal one on the blown graph
-    assert bool(report) == bool(check_degree_sequence(blown, line))
-    assert sorted(blown.degrees()) == sorted(
-        s * d for d in host.degrees() for _ in range(s)
-    )
-
-
-@PROPERTY_SETTINGS
-@given(
-    st.integers(min_value=2, max_value=6),
-    st.integers(min_value=1, max_value=4),
-)
-def test_blowup_never_fails_after_input_passes(width: int, s: int):
-    # the inherited bound is implied by the input bound; only the input gates
-    line = komlos_line(chromatic_data(K3))
-    host = complete_multipartite([width] * 3).graph
-    report = verify_blowup_inheritance(host, s, line)
-    assert report.ok == report.input_check.ok

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilekit.graphs import Graph, complete_multipartite, is_valid_tiling
+from tilekit.graphs import Graph, complete_multipartite, graph6_encode, is_valid_tiling
 from tilekit.harness import (
     ExperimentReport,
     InstanceRecord,
@@ -18,11 +18,12 @@ from tilekit.harness import (
     random_host,
     random_min_degree_host,
     random_tiling_instance,
+    read_params,
     run_figure2,
     solver_oracle_sweep,
     verify_extremal_suite,
 )
-from tilekit.thresholds import check_degree_sequence, chromatic_data, komlos_line
+from tilekit.thresholds import check_degree_sequence, chromatic_data, komlos_line, x_line
 
 C5 = cycle_graph(5)
 
@@ -114,13 +115,6 @@ def test_figure2_star_rows_skip_the_start_cell():
     assert star.end == Fraction(1, 4)
 
 
-def test_figure2_custom_patterns_are_uncompared():
-    table = run_figure2([("triangle", complete_multipartite([1, 1, 1]).graph)])
-    assert len(table.rows) == 1
-    assert table.rows[0].matches  # nothing to compare against
-    assert table.rows[0].start == Fraction(1, 3)
-
-
 # ---------------------------------------------------------------------------
 # plot data
 # ---------------------------------------------------------------------------
@@ -191,6 +185,17 @@ def test_generate_satisfying_instance_rejects_infeasible():
     )
     with pytest.raises(ValueError, match="infeasible"):
         generate_satisfying_instance(line, 7, 0)
+
+
+def test_seeded_generators_are_pinned():
+    # a seed names one graph: reorganising the generators must not move it
+    assert graph6_encode(random_min_degree_host(3, 12, 7)) == "Kr~vnr~~~~~{"
+    k3 = complete_multipartite([1, 1, 1]).graph
+    g = generate_satisfying_instance(x_line(chromatic_data(k3), Fraction(1, 2)), 30, 5)
+    assert g.edge_count() == 353
+    assert graph6_encode(g) == (
+        r"]dpV~z~~v~^f~_~i^bN~H~Gj}?~~~~~~z~~{~~~N~~w~~~l~~~e~~~^^~~of~~yc~~~gj~~}zO"
+    )
 
 
 def test_random_tiling_instance_is_a_valid_planted_tiling():
@@ -264,6 +269,43 @@ def test_extremal_three_suite_passes():
 def test_extremal_suite_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family"):
         verify_extremal_suite("ex4", [])
+
+
+def test_read_params_types_each_value():
+    point = read_params("ex3", {"pattern": "K3", "n": "18", "x": "1/3", "eta": 0.5})
+    assert point == {
+        "pattern": complete_multipartite([1, 1, 1]).graph,
+        "n": 18,
+        "x": Fraction(1, 3),
+        "eta": Fraction(1, 2),
+    }
+    lemma62 = {"r": 3, "sigma": 1, "omega": 2, "target": "B"}
+    assert read_params("lemma62", lemma62)["m"] == 1
+
+
+@pytest.mark.parametrize(
+    "family, point, message",
+    [
+        ("ex3", {"pattern": "K3"}, "ex3 parameters: missing 'n', 'x', 'eta'"),
+        ("ex1", [], "ex1 parameters: not a JSON object"),
+        ("ex2", {"pattern": 5, "n": 20, "eta": "1/20"}, "ex2 parameter 'pattern'"),
+        ("ex2", {"pattern": "C5", "n": "many", "eta": "1/20"}, "ex2 parameter 'n'"),
+        ("ex2", {"pattern": "C5", "n": 20.5, "eta": "1/20"}, "ex2 parameter 'n'"),
+        ("h1", {"pattern": "C5", "x": "1/0"}, "h1 parameter 'x': not a rational"),
+        ("hstar", {"pattern": "C5", "sigma_prime": None}, "hstar parameter 'sigma_prime'"),
+    ],
+    ids=["missing-keys", "not-an-object", "pattern-not-a-name", "n-not-a-number",
+         "n-not-an-integer", "x-over-zero", "sigma-prime-null"],
+)
+def test_read_params_names_the_family_and_key(family, point, message):
+    with pytest.raises(ValueError) as info:
+        read_params(family, point)
+    assert str(info.value).startswith(message)
+
+
+def test_extremal_suite_names_a_missing_key():
+    with pytest.raises(ValueError, match="ex1 parameters: missing 'k'"):
+        verify_extremal_suite("ex1", [{k: v for k, v in EX1_POINT.items() if k != "k"}])
 
 
 def test_solver_oracle_sweep_small():

@@ -284,11 +284,25 @@ def test_blow_up_hosts_are_proven_within_budget(host, pattern, covered):
 
 
 def test_budget_exhaustion_downgrades_optimality():
+    # budget 4 stops at three triangles, below the optimum of four
     host = complete_multipartite([4, 4, 4]).graph
-    result = max_tiling(host, [K3], budget=5)
+    result = max_tiling(host, [K3], budget=4)
     assert not result.proven_optimal
     assert result.optimality == "best-found"
     assert "node-budget-hit" in result.reason
+    assert result.covered_count == 9
+    assert result.nodes == 4
+
+
+def test_reaching_the_root_bound_proves_optimality():
+    # the fifth node covers all 12 vertices, the root bound, so the search
+    # stops there proven, whatever budget is left
+    host = complete_multipartite([4, 4, 4]).graph
+    for budget in (5, 6, 100):
+        result = max_tiling(host, [K3], budget=budget)
+        assert result.proven_optimal
+        assert result.covered_count == 12
+        assert result.nodes == 5
 
 
 def test_long_path_needs_no_recursion():
