@@ -19,7 +19,6 @@ from .graphs import (
     blow_up,
     bottle_graph,
     complete_multipartite,
-    emit_graph,
     is_valid_tiling,
     parse_graph,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "blow_up",
     "bottle_graph",
     "complete_multipartite",
-    "emit_graph",
     "is_valid_tiling",
     "parse_graph",
 ]

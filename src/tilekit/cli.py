@@ -48,6 +48,7 @@ from .graphs import (
     VertexOrdering,
     bottle_graph,
     emit_edge_list,
+    is_valid_tiling,
     parse_graph,
 )
 from .harness import (
@@ -302,6 +303,9 @@ def cmd_gadgets(args) -> int:
     if not args.tiling:
         raise ValueError(f"--find {args.find} needs --tiling")
     tiling, _pattern = _load_tiling(args.tiling)
+    valid = is_valid_tiling(host, tiling)
+    if not valid:
+        raise ValueError(f"tiling is not in the host: {valid.violation}")
     ordering = VertexOrdering.by_degree(host)
     if args.find == "expand":
         found = find_expanding_set(host, tiling, args.size)

@@ -13,7 +13,9 @@ while satisfying the rest:
 The constructive half builds perfect (or exactly proportional) tilings by
 explicit placement: blow-up slicing, rotated clique collections, the
 relaxed-neck bottle graph that a pattern tiles perfectly, and the bottle
-graph that a pattern tiles in exact proportion x.
+graph that a pattern tiles in exact proportion x.  Every copy is placed by
+one routine, which puts pattern class i on the next fresh vertices of a
+chosen host class; a construction is its list of target classes per copy.
 
 Every constructor validates its divisibility preconditions eagerly and names
 the violated constraint; rounding only happens where a ceiling or floor is
@@ -77,7 +79,8 @@ class ExtremalOneSpec:
 
     The host has one class of size sigma*n/b and r-1 classes of size
     omega*n/b, where b = sigma + (r-1)*omega must divide n.  The window of
-    flattened degrees starts at index k; its width 2*eta*n must be integral.
+    flattened degrees starts at index k; its width 2*eta*n must be a positive
+    integer, or ex1's required miss ceil(3 eta n / 2) is <= 0 and vacuous.
     """
 
     r: int
@@ -123,6 +126,8 @@ def extremal_one(spec: ExtremalOneSpec) -> ExtremalOneInstance:
         raise ValueError("need r >= 2")
     if not 1 <= sigma <= omega:
         raise ValueError("need 1 <= sigma <= omega")
+    if spec.eta <= 0:
+        raise ValueError("eta must be positive")
     b = spec.b
     if n % b:
         raise ValueError(f"b = {b} must divide n = {n}")
@@ -287,31 +292,30 @@ class _ClassAllocator:
         self.classes = host.classes
         self.cursor = [0] * len(host.classes)
 
-    def take(self, cls: int, count: int) -> list[int]:
-        start = self.cursor[cls]
-        if start + count > len(self.classes[cls]):
-            raise ValueError(
-                f"class {cls} exhausted: wanted {count}, have "
-                f"{len(self.classes[cls]) - start}"
-            )
-        self.cursor[cls] = start + count
-        return list(self.classes[cls][start : start + count])
+    def place(
+        self,
+        pattern: Graph,
+        classes: Sequence[Sequence[int]],
+        targets: Sequence[int],
+        pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None,
+    ) -> Embedding:
+        """Copy of pattern with its class i on fresh vertices of host class
+        targets[i], taken in class order."""
+        image = [0] * pattern.n
+        for cls, target in zip(classes, targets):
+            start = self.cursor[target]
+            fresh = self.classes[target][start : start + len(cls)]
+            if len(fresh) < len(cls):
+                raise ValueError(
+                    f"class {target} exhausted: wanted {len(cls)}, have {len(fresh)}"
+                )
+            self.cursor[target] = start + len(cls)
+            for p, w in zip(cls, fresh):
+                image[p] = w
+        return Embedding(pattern, tuple(image), pattern_classes)
 
     def exhausted(self) -> bool:
         return all(c == len(cls) for c, cls in zip(self.cursor, self.classes))
-
-
-def _place_partitioned_copy(
-    pattern: PartitionedGraph, slots: Sequence[Sequence[int]]
-) -> Embedding:
-    """Embed a partitioned pattern with class j landing on slots[j]."""
-    image = [0] * pattern.graph.n
-    for cls, slot in zip(pattern.classes, slots):
-        if len(cls) != len(slot):
-            raise ValueError("slot size does not match pattern class size")
-        for p, w in zip(cls, slot):
-            image[p] = w
-    return Embedding(pattern.graph, tuple(image), pattern.classes)
 
 
 # ---------------------------------------------------------------------------
@@ -368,22 +372,18 @@ def lemma62_perfect_tiling(target: str, B: PartitionedGraph, m: int) -> Lemma62R
     alloc = _ClassAllocator(host)
     embeddings = []
 
-    def aligned_copy() -> None:
-        slots = [alloc.take(0, sigma * m)]
-        slots.extend(alloc.take(j, omega * m) for j in range(1, r))
-        embeddings.append(_place_partitioned_copy(bstar, slots))
+    def place(targets: Sequence[int]) -> None:
+        embeddings.append(alloc.place(bstar.graph, bstar.classes, targets, bstar.classes))
 
     def rotated_collection() -> None:
         # one copy per host class carrying the neck there
         for p in range(r):
-            slots = [alloc.take(p, sigma * m)]
-            slots.extend(alloc.take(q, omega * m) for q in range(r) if q != p)
-            embeddings.append(_place_partitioned_copy(bstar, slots))
+            place([p] + [q for q in range(r) if q != p])
 
     if target in ("B", "B*"):
         aligned = len(host.classes[0]) // (sigma * m)
         for _ in range(aligned):
-            aligned_copy()
+            place(range(r))
         counts["aligned"] = aligned
     elif target == "Kr":
         for _ in range(omega - sigma):
@@ -392,7 +392,7 @@ def lemma62_perfect_tiling(target: str, B: PartitionedGraph, m: int) -> Lemma62R
     else:  # B'
         aligned = (omega - 1 - sigma) * b
         for _ in range(aligned):
-            aligned_copy()
+            place(range(r))
         # every class now holds exactly sigma*m*b uncovered vertices
         leftovers = [len(cls) - cur for cls, cur in zip(host.classes, alloc.cursor)]
         if leftovers != [sigma * m * b] * r:
@@ -538,52 +538,16 @@ def build_hstar(spec: HStarSpec) -> HStarResult:
     companion_count = _exact_int(b * (sp - sigma), "companion copy count")
 
     alloc = _ClassAllocator(hstar)
-    embeddings = []
-
-    def place_pattern_copy(slots: Sequence[Sequence[int]]) -> None:
-        image = [0] * h
-        for cls, slot in zip(bottle_classes, slots):
-            if len(cls) != len(slot):
-                raise AssertionError("slot size mismatch")
-            for p, w in zip(cls, slot):
-                image[p] = w
-        embeddings.append(Embedding(pattern, tuple(image)))
-
-    for _ in range(direct_count):
-        slots = [alloc.take(0, sigma)]
-        slots.extend(alloc.take(j, omega) for j in range(1, r))
-        place_pattern_copy(slots)
-
-    big_size = (r - 1) * omega
-    small_size = (r - 2) * omega + sigma
+    embeddings = [
+        alloc.place(pattern, bottle_classes, range(r)) for _ in range(direct_count)
+    ]
+    # a companion block is r - 1 copies; copy i sends its i-th width class up
+    # to the neck, its neck down to class i, and keeps every other width
+    # class in its own class
     for _ in range(companion_count):
-        big = alloc.take(0, big_size)
-        smalls = {j: alloc.take(j, small_size) for j in range(1, r)}
-        big_cursor = 0
-        small_cursor = {j: 0 for j in range(1, r)}
-
-        def grab_big(count: int) -> list[int]:
-            nonlocal big_cursor
-            out = big[big_cursor : big_cursor + count]
-            big_cursor += count
-            return out
-
-        def grab_small(j: int, count: int) -> list[int]:
-            c = small_cursor[j]
-            small_cursor[j] = c + count
-            return smalls[j][c : c + count]
-
-        # copy i sends its i-th width class up to the neck, its neck down to
-        # slot i, and keeps every other width class in its own slot
         for i in range(1, r):
-            slots = [grab_small(i, sigma)]
-            for j in range(1, r):
-                slots.append(grab_big(omega) if j == i else grab_small(j, omega))
-            place_pattern_copy(slots)
-        if big_cursor != big_size or any(
-            small_cursor[j] != small_size for j in range(1, r)
-        ):
-            raise AssertionError("companion block not exactly consumed")
+            targets = [i] + [0 if j == i else j for j in range(1, r)]
+            embeddings.append(alloc.place(pattern, bottle_classes, targets))
 
     if not alloc.exhausted():
         raise AssertionError("tiling does not exhaust the host")
@@ -629,17 +593,9 @@ def build_h1(pattern: Graph, x: Rational) -> H1Result:
     embeddings = []
     for _ in range(a):
         for shift in range(r - 1):
-            slots: list[list[int]] = [alloc.take(0, sigma)]
             # width class 1 + ((i - 1 + shift) mod (r - 1)) receives class i
-            targets = [1 + (i + shift) % (r - 1) for i in range(r - 1)]
-            image = [0] * h
-            for p, w in zip(classes[0], slots[0]):
-                image[p] = w
-            for i, cls in enumerate(classes[1:]):
-                slot = alloc.take(targets[i], len(cls))
-                for p, w in zip(cls, slot):
-                    image[p] = w
-            embeddings.append(Embedding(pattern, tuple(image)))
+            targets = [0] + [1 + (i + shift) % (r - 1) for i in range(r - 1)]
+            embeddings.append(alloc.place(pattern, classes, targets))
 
     tiling = Tiling(tuple(embeddings))
     assert len(tiling.covered) == a * (r - 1) * h

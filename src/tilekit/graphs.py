@@ -410,14 +410,6 @@ def emit_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_graph(g: Graph, fmt: str = "edgelist") -> str:
-    if fmt == "edgelist":
-        return emit_edge_list(g)
-    if fmt == "graph6":
-        return graph6_encode(g)
-    raise ValueError(f"unknown format {fmt!r}")
-
-
 def _g6_size_bytes(n: int) -> list[int]:
     if n <= 62:
         return [n + 63]

@@ -12,10 +12,14 @@ operation may introduce floating point.  The central objects are
 
       d_i >= intercept*n + slope*i + slack*n   for 1 <= i <= cutoff*n.
 
-Each named constructor (:func:`komlos_line`, :func:`x_line`,
-:func:`general_line`) builds the line whose sloped part meets its flat tiling
-threshold exactly at the cutoff index, and asserts that meeting point at
-construction time.
+The three named lines are one line, the degree-sequence bound of the bottle
+graph with neck s and widths (h - s)/(r - 1) (Komlos 2000), at three necks:
+:func:`komlos_line` at s = sigma, :func:`x_line` at s = x sigma and
+:func:`general_line` at a relaxed s = sigma'.  Its sloped part meets the flat
+tiling threshold exactly at the cutoff index, asserted at construction time.
+
+The chromatic number is found by the sigma search itself: the first k >= the
+greedy clique size for which :func:`sigma_coloring` finds a k-colouring.
 """
 
 from __future__ import annotations
@@ -118,57 +122,14 @@ def _greedy_clique_size(g: Graph) -> int:
     return best
 
 
-def _color_with(g: Graph, k: int) -> Optional[list]:
-    """A proper k-colouring of g, or None.
-
-    Saturation-first vertex selection; a vertex may open colour c only when
-    colours 0..c-1 are already in use, which kills the colour-permutation
-    symmetry.
-    """
-    n = g.n
-    color = [-1] * n
-    seen = [0] * n  # per-vertex bitmask of colours on its neighbours
-
-    def pick() -> int:
-        best_v = -1
-        best_key = None
-        for v in range(n):
-            if color[v] < 0:
-                key = (-bin(seen[v]).count("1"), -g.degree(v), v)
-                if best_key is None or key < best_key:
-                    best_v, best_key = v, key
-        return best_v
-
-    def rec(colored: int, used: int) -> bool:
-        if colored == n:
-            return True
-        v = pick()
-        for c in range(min(k - 1, used) + 1):
-            if seen[v] >> c & 1:
-                continue
-            color[v] = c
-            touched = []
-            for u in iter_bits(g.rows[v]):
-                if not seen[u] >> c & 1:
-                    seen[u] |= 1 << c
-                    touched.append(u)
-            if rec(colored + 1, max(used, c + 1)):
-                return True
-            for u in touched:
-                seen[u] &= ~(1 << c)
-            color[v] = -1
-        return False
-
-    return list(color) if rec(0, 0) else None
-
-
 def chromatic_number(g: Graph) -> int:
+    """Smallest k for which :func:`sigma_coloring` finds a proper k-colouring."""
     if g.n == 0:
         return 0
     if g.edge_count() == 0:
         return 1
     for k in range(max(2, _greedy_clique_size(g)), g.n + 1):
-        if _color_with(g, k) is not None:
+        if sigma_coloring(g, k)[0] <= g.n:
             return k
     raise AssertionError("unreachable: every graph is n-colorable")
 
@@ -177,7 +138,8 @@ def sigma_coloring(g: Graph, r: int) -> tuple[int, tuple[int, ...]]:
     """Smallest achievable class size over proper r-colourings, plus a witness.
 
     Only meaningful with r = chi(g): then every proper assignment uses all r
-    colours, so every leaf of the search has r nonempty classes.  Classes only
+    colours, so every leaf of the search has r nonempty classes.  With
+    r < chi(g) there is no leaf and the result is (n + 1, ()).  Classes only
     grow along a branch, hence the reachable final minimum is at least
     min_c max(size_c, 1), which is the pruning bound.
     """
@@ -307,26 +269,38 @@ def g_of_x(params: TilingParams, x: Rational) -> Fraction:
     return x * (1 - 1 / params.chi_cr) + (1 - x) * (1 - Fraction(1, params.r - 1))
 
 
-def komlos_line(params: TilingParams, eta: Rational = 0) -> BoundLine:
-    """The almost-perfect-tiling bound line for a pattern.
+def _neck_line(params: TilingParams, s: Rational, slack: Rational = 0) -> BoundLine:
+    """Bound line of the bottle graph with neck s and widths (h - s)/(r - 1).
 
-    intercept 1 - (omega + sigma)/h, slope sigma/omega, cutoff omega/h; at
-    the cutoff index the value is (1 - 1/chi_cr) n, the flat threshold.
+    With omega' = (h - s)/(r - 1): intercept 1 - (omega' + s)/h, slope
+    s/omega', cutoff omega'/h.  At the cutoff index the sloped part meets
+    the flat value 1 - omega'/h, asserted here.
     """
-    h, sigma, omega = params.h, params.sigma, params.omega
+    h = params.h
+    s = Fraction(s)
+    omega = (h - s) / (params.r - 1)
     line = BoundLine(
-        intercept=1 - Fraction(omega + sigma, h),
-        slope=Fraction(sigma) / omega,
-        cutoff=omega / Fraction(h),
-        slack=Fraction(eta),
+        intercept=1 - (omega + s) / h,
+        slope=s / omega,
+        cutoff=omega / h,
+        slack=slack,
     )
-    if line.intercept + line.slope * line.cutoff != 1 - 1 / params.chi_cr:
+    if line.intercept + line.slope * line.cutoff != 1 - omega / h:
         raise AssertionError("sloped part misses the flat threshold")
     return line
 
 
+def komlos_line(params: TilingParams, eta: Rational = 0) -> BoundLine:
+    """The almost-perfect-tiling bound line: the neck line at s = sigma.
+
+    intercept 1 - (omega + sigma)/h, slope sigma/omega, cutoff omega/h; at
+    the cutoff index the value is (1 - 1/chi_cr) n, the flat threshold.
+    """
+    return _neck_line(params, params.sigma, slack=eta)
+
+
 def x_line(params: TilingParams, x: Rational) -> BoundLine:
-    """The x-proportional-tiling bound line, 0 < x < 1.
+    """The x-proportional-tiling bound line, 0 < x < 1: the neck line at x sigma.
 
     intercept g(x) - x sigma/h, slope (r-1) x sigma / (h - x sigma), cutoff
     (h - x sigma) / ((r-1) h); the value at the cutoff index is g(x) n.
@@ -334,24 +308,17 @@ def x_line(params: TilingParams, x: Rational) -> BoundLine:
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("x must lie strictly inside (0, 1)")
-    h, r, sigma = params.h, params.r, params.sigma
-    gx = g_of_x(params, x)
-    line = BoundLine(
-        intercept=gx - x * sigma / h,
-        slope=(r - 1) * x * sigma / (h - x * sigma),
-        cutoff=Fraction(h - x * sigma, (r - 1) * h),
-    )
-    if line.intercept + line.slope * line.cutoff != gx:
+    line = _neck_line(params, x * params.sigma)
+    if line.intercept + line.slope * line.cutoff != g_of_x(params, x):
         raise AssertionError("sloped part misses g(x)")
     return line
 
 
 def general_line(pattern: Graph, sigma_prime: Rational) -> BoundLine:
-    """Bound line for a relaxed class-size parameter sigma(H) <= s' <= h/r.
+    """Bound line for a relaxed neck sigma(H) <= s' <= h/r: the neck line at s'.
 
-    With omega' = (h - s')/(r - 1) the line has intercept 1 - (omega' + s')/h,
-    slope s'/omega', cutoff omega'/h.  At s' = sigma(H) this is exactly
-    :func:`komlos_line`; at s' = h/r the slope is 1 and the cutoff 1/r.
+    At s' = sigma(H) this is exactly :func:`komlos_line`; at s' = h/r the
+    slope is 1 and the cutoff 1/r.
     """
     params = chromatic_data(pattern)
     sigma_prime = Fraction(sigma_prime)
@@ -359,16 +326,7 @@ def general_line(pattern: Graph, sigma_prime: Rational) -> BoundLine:
         raise ValueError(
             f"sigma' must lie in [{params.sigma}, {params.h}/{params.r}]"
         )
-    h = params.h
-    omega_prime = Fraction(h - sigma_prime, params.r - 1)
-    line = BoundLine(
-        intercept=1 - (omega_prime + sigma_prime) / h,
-        slope=sigma_prime / omega_prime,
-        cutoff=omega_prime / h,
-    )
-    if line.intercept + line.slope * line.cutoff != 1 - omega_prime / h:
-        raise AssertionError("sloped part misses the flat threshold")
-    return line
+    return _neck_line(params, sigma_prime)
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,30 @@ def test_gadgets_expand_needs_tiling(capsys):
     assert "needs --tiling" in err
 
 
+@pytest.mark.parametrize(
+    "host, embeddings, violation",
+    [
+        ("K_{1,1,1,1}", [[0, 1, 9]], "embedding 0: image vertex 9 outside host range"),
+        ("C5", [[0, 1, 9]], "embedding 0: image vertex 9 outside host range"),
+        ("K6", [[0, 1, 2], [2, 3, 4]], "embeddings 0 and 1 overlap at vertex 2"),
+    ],
+    ids=["vertex-outside-K4", "vertex-outside-C5", "overlapping-copies"],
+)
+def test_gadgets_reject_a_tiling_not_in_the_host(capsys, tmp_path, host, embeddings, violation):
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(json.dumps({
+        "pattern": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]], "classes": [[0], [1], [2]]},
+        "embeddings": embeddings,
+    }))
+    code, out, err = run(
+        capsys, "gadgets", "--find", "expand", "--host", host,
+        "--tiling", str(tiling), "--size", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: tiling is not in the host: {violation}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify and sweep
 # ---------------------------------------------------------------------------
@@ -276,6 +300,14 @@ def test_verify_ex2_fails_honestly(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "fail"
     assert payload["records"][0]["details"]["witness_copy"]
+
+
+def test_verify_ex1_rejects_a_negative_eta(capsys):
+    grid = '[{"r": 2, "sigma": 1, "omega": 2, "n": 15, "eta": "-1/15", "k": 2}]'
+    code, out, err = run(capsys, "verify", "--family", "ex1", "--grid", grid, "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: eta must be positive\n"
 
 
 def test_verify_explicit_grid(capsys):

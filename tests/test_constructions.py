@@ -94,6 +94,10 @@ def test_extremal_one_validation():
         extremal_one(ExtremalOneSpec(r=2, sigma=3, omega=2, n=15, eta=Fraction(1, 15), k=2))
     with pytest.raises(ValueError, match="k must satisfy"):
         extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=9))
+    # a window of width 2 eta n <= 0 leaves C empty, and ex1 would pass vacuously
+    for eta in (Fraction(-1, 15), Fraction(0)):
+        with pytest.raises(ValueError, match="eta must be positive"):
+            extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=eta, k=2))
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +234,48 @@ def test_lemma62_random_bottles(target: str, r: int, sigma: int, extra: int):
     result = lemma62_perfect_tiling(target, B, 1)
     assert is_valid_tiling(result.host.graph, result.tiling)
     assert len(result.tiling.covered) == result.host.graph.n
+
+
+@pytest.mark.parametrize(
+    "build, images, classes",
+    [
+        (
+            lambda: lemma62_perfect_tiling("B'", bottle_graph(3, 1, 3), 1).tiling,
+            [
+                (0, 14, 15, 16, 42, 43, 44), (1, 17, 18, 19, 45, 46, 47),
+                (2, 20, 21, 22, 48, 49, 50), (3, 23, 24, 25, 51, 52, 53),
+                (4, 26, 27, 28, 54, 55, 56), (5, 29, 30, 31, 57, 58, 59),
+                (6, 32, 33, 34, 60, 61, 62), (7, 35, 36, 37, 63, 64, 65),
+                (38, 8, 9, 10, 66, 67, 68), (69, 11, 12, 13, 39, 40, 41),
+            ],
+            ((0,), (1, 2, 3), (4, 5, 6)),
+        ),
+        (
+            lambda: lemma62_perfect_tiling("Kr", bottle_graph(3, 1, 2), 2).tiling,
+            [
+                (0, 1, 10, 11, 12, 13, 20, 21, 22, 23),
+                (14, 15, 2, 3, 4, 5, 24, 25, 26, 27),
+                (28, 29, 6, 7, 8, 9, 16, 17, 18, 19),
+            ],
+            ((0, 1), (2, 3, 4, 5), (6, 7, 8, 9)),
+        ),
+        (
+            lambda: build_hstar(HStarSpec(C5, Fraction(3, 2))).tiling,
+            [(0, 6, 13, 7, 14), (1, 8, 15, 9, 16), (10, 2, 17, 3, 18), (19, 11, 4, 12, 5)],
+            None,
+        ),
+        (
+            lambda: build_h1(bottle_graph(3, 1, 2).graph, Fraction(2, 3)).tiling,
+            [(0, 4, 5, 17, 18), (1, 19, 20, 6, 7), (2, 8, 9, 21, 22), (3, 23, 24, 10, 11)],
+            None,
+        ),
+    ],
+    ids=["lemma62-Bprime", "lemma62-Kr-m2", "hstar-companion", "h1-r3"],
+)
+def test_placed_images_are_pinned(build, images, classes):
+    tiling = build()
+    assert [e.image for e in tiling.embeddings] == images
+    assert all(e.pattern_classes == classes for e in tiling.embeddings)
 
 
 # ---------------------------------------------------------------------------

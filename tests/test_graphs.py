@@ -19,7 +19,6 @@ from tilekit.graphs import (
     bottle_shape,
     complete_multipartite,
     emit_edge_list,
-    emit_graph,
     parse_edge_list,
     graph6_decode,
     graph6_encode,
@@ -185,14 +184,6 @@ def test_parse_graph_rejects_garbage():
         parse_graph("3\n0 1 2\n")
     with pytest.raises(GraphParseError, match="missing vertex count"):
         parse_edge_list("   \n  \n")
-
-
-def test_emit_graph_formats():
-    g = Graph(3, [(0, 1)])
-    assert emit_graph(g, "edgelist") == "3\n0 1\n"
-    assert parse_graph(emit_graph(g, "graph6")) == g
-    with pytest.raises(ValueError, match="unknown format"):
-        emit_graph(g, "dot")
 
 
 def test_graph6_large_size_field():

@@ -129,6 +129,12 @@ def test_sigma_witness_is_a_proper_coloring(g: Graph):
     assert min(witness.count(c) for c in range(r)) == best
 
 
+@PROPERTY_SETTINGS
+@given(graphs_with_edge())
+def test_sigma_coloring_below_chi_finds_nothing(g: Graph):
+    assert sigma_coloring(g, chromatic_number(g) - 1) == (g.n + 1, ())
+
+
 def test_known_parameter_bundles():
     c5 = chromatic_data(C5)
     assert (c5.h, c5.r, c5.sigma) == (5, 3, 1)
@@ -287,6 +293,20 @@ def test_x_line_meets_g_of_x(g: Graph, x: Fraction):
     line = x_line(params, x)
     assert line.value_at_cutoff == g_of_x(params, x)
     assert line.slope >= 0
+
+
+@PROPERTY_SETTINGS
+@given(
+    graphs_with_edge(),
+    st.fractions(min_value=Fraction(1, 20), max_value=Fraction(19, 20), max_denominator=20),
+)
+def test_x_line_coefficients(g: Graph, x: Fraction):
+    params = chromatic_data(g)
+    h, r, neck = params.h, params.r, x * params.sigma
+    line = x_line(params, x)
+    assert line.intercept == g_of_x(params, x) - neck / h
+    assert line.slope == (r - 1) * neck / (h - neck)
+    assert line.cutoff == (h - neck) / ((r - 1) * h)
 
 
 def test_general_line_endpoints():
