@@ -631,6 +631,8 @@ def verify_extremal_suite(
     """
     if family not in _EXTREMAL_RUNNERS:
         raise ValueError(f"unknown family {family!r}; pick one of ex1, ex2, ex3")
+    if not grid:
+        raise ValueError("grid has no points")
     runner = _EXTREMAL_RUNNERS[family]
     records = tuple(runner(read_params(family, point), budget) for point in grid)
     return ExperimentReport(experiment=f"extremal-{family}", records=records)
@@ -648,6 +650,10 @@ def solver_oracle_sweep(
     vertices so every pattern fits.  A record passes only when the solver
     proves optimality and matches the oracle exactly.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
+    if max_n < 5:
+        raise ValueError("max_n must be at least 5")
     if max_n > ORACLE_MAX_VERTICES:
         raise ValueError(f"oracle refuses hosts above {ORACLE_MAX_VERTICES} vertices")
     patterns = [
@@ -695,6 +701,8 @@ def hajnal_szemeredi_suite(count: int, seed: int) -> ExperimentReport:
     Seeded hosts with delta >= (1 - 1/r) n and r | n must admit perfect
     K_r-tilings; the solver must find one and prove it optimal.
     """
+    if count < 1:
+        raise ValueError("count must be at least 1")
     master = random.Random(seed)
     records = []
     for i in range(count):

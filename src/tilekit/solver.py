@@ -24,8 +24,10 @@ Two solvers deliberately share nothing beyond the Graph type:
   by the bound covered + the best coin sum of pattern sizes within the free
   count, and by a dominance table of the most covered seen per free mask.
   On a host without twins every type is one copy.
-* :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
-  with naive permutation-based copy detection, for hosts up to 16 vertices.
+* :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks,
+  for hosts up to 16 vertices.  Copies are found per vertex subset by raw
+  permutation testing, keyed by the subset's induced shape: one table per
+  pattern of the first permutation for each set of needed pairs.
 """
 
 from __future__ import annotations
@@ -514,6 +516,58 @@ def max_tiling(
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
+def _oracle_copy_test(host: Graph, pattern: Graph):
+    """The oracle's copy test: subset -> image of the first fitting permutation.
+
+    Permutations pi of range(h) are tried in ``itertools.permutations``
+    order, pi giving the image ``tuple(subset[i] for i in pi)``.  Number the
+    local pairs {i, j} of the h positions; a subset's *shape* is the mask of
+    pairs whose host vertices are adjacent, and pi's *need* is the mask of
+    pairs it maps the pattern's edges to.  pi embeds the pattern exactly when
+    need is within shape, so the answer depends on the shape alone and is
+    worked out once per shape.  The table keeps the first pi of each distinct
+    need (at most h!/|Aut(pattern)| of them), extended lazily only as far as
+    the shapes seen so far require.
+    """
+    h = pattern.n
+    rows = host.rows
+    pairs = [(i, j, 1 << k) for k, (i, j) in enumerate(combinations(range(h), 2))]
+    bit = [[0] * h for _ in range(h)]
+    for i, j, b in pairs:
+        bit[i][j] = bit[j][i] = b
+    pedges = list(pattern.edges())
+    perms = permutations(range(h))
+    table: dict[int, tuple[int, ...]] = {}  # need -> its first permutation
+    first_fit: dict[int, Optional[tuple[int, ...]]] = {}  # shape -> permutation
+
+    def fit(shape: int) -> Optional[tuple[int, ...]]:
+        for need, perm in table.items():
+            if not need & ~shape:
+                return perm
+        for perm in perms:
+            need = 0
+            for a, b in pedges:
+                need |= bit[perm[a]][perm[b]]
+            if need not in table:
+                table[need] = perm
+                if not need & ~shape:
+                    return perm
+        return None
+
+    def image_of(subset: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+        shape = 0
+        for i, j, b in pairs:
+            if rows[subset[i]] >> subset[j] & 1:
+                shape |= b
+        if shape in first_fit:
+            perm = first_fit[shape]
+        else:
+            perm = first_fit[shape] = fit(shape)
+        return None if perm is None else tuple([subset[i] for i in perm])
+
+    return image_of
+
+
 def max_tiling_oracle(
     host: Graph,
     patterns: Sequence[PatternLike],
@@ -522,11 +576,15 @@ def max_tiling_oracle(
 ) -> TilingResult:
     """Exhaustive maximum tiling on hosts with at most 16 vertices.
 
-    Copies are found by trying raw vertex permutations per subset (no shared
-    code with the main search); the optimum is a memoized recursion over
-    free-vertex bitmasks.  With ``maximize_overlap`` the objective becomes
-    lexicographic (covered vertices, then overlap with the given set), which
-    answers "how much of this set can an optimal tiling cover?" exactly.
+    Copies are found per vertex subset, in lexicographic order, as the first
+    permutation of the subset that embeds the pattern (no shared code with
+    the main search).  That permutation depends only on the subset's induced
+    shape, so it is looked up per shape in a table of permutations built
+    lazily once per pattern and call (:func:`_oracle_copy_test`).  The
+    optimum is a memoized recursion over free-vertex bitmasks.  With
+    ``maximize_overlap`` the objective becomes lexicographic (covered
+    vertices, then overlap with the given set), which answers "how much of
+    this set can an optimal tiling cover?" exactly.
     """
     if host.n > ORACLE_MAX_VERTICES:
         raise ValueError(
@@ -544,17 +602,16 @@ def max_tiling_oracle(
         if pg in seen_pattern_graphs or pg.n > host.n:
             continue
         seen_pattern_graphs.add(pg)
-        pedges = list(pg.edges())
+        image_of = _oracle_copy_test(host, pg)
         for subset in combinations(range(host.n), pg.n):
             mask = 0
             for v in subset:
                 mask |= 1 << v
             if mask in copy_map:
                 continue
-            for perm in permutations(subset):
-                if all(host.has_edge(perm[a], perm[b]) for a, b in pedges):
-                    copy_map[mask] = Embedding(pg, perm, pcls)
-                    break
+            image = image_of(subset)
+            if image is not None:
+                copy_map[mask] = Embedding(pg, image, pcls)
 
     per_vertex: list[list] = [[] for _ in range(host.n)]
     for mask in sorted(copy_map):

@@ -335,6 +335,28 @@ def test_sweep_hajnal_szemeredi(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--count", "0"], "count must be at least 1"),
+        (["sweep", "--count", "-1"], "count must be at least 1"),
+        (["sweep", "--suite", "hajnal-szemeredi", "--count", "0"], "count must be at least 1"),
+        (["sweep", "--suite", "hajnal-szemeredi", "--count", "-1"], "count must be at least 1"),
+        (["sweep", "--suite", "solver-oracle", "--max-n", "4"], "max_n must be at least 5"),
+        (["verify", "--family", "ex1", "--grid", "[]"], "grid has no points"),
+        (["verify", "--family", "ex2", "--grid", "[]"], "grid has no points"),
+        (["verify", "--family", "ex3", "--grid", "[]"], "grid has no points"),
+    ],
+    ids=["oracle-count-0", "oracle-count-negative", "hs-count-0", "hs-count-negative",
+         "oracle-max-n-4", "ex1-empty-grid", "ex2-empty-grid", "ex3-empty-grid"],
+)
+def test_empty_experiments_are_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 # ---------------------------------------------------------------------------

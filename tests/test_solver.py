@@ -6,10 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_copies
+from _oracles import assignment_max_cover, reference_copies
 from tilekit import solver
 from tilekit.constructions import extremal_three, extremal_two, lemma62_perfect_tiling
 from tilekit.graphs import (
@@ -19,6 +19,7 @@ from tilekit.graphs import (
     complete_multipartite,
     is_valid_tiling,
 )
+from tilekit.harness import random_host
 from tilekit.solver import (
     CopyCatalog,
     TilingResult,
@@ -429,3 +430,71 @@ def test_oracle_overlap_never_beats_coverage():
     host = Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
     result = max_tiling_oracle(host, [K3, K2], maximize_overlap=[3, 4])
     assert result.covered_count == 5
+
+
+# ---------------------------------------------------------------------------
+# the oracle against a slower one, and its witnesses
+# ---------------------------------------------------------------------------
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    coin_hosts(max_n=7),
+    st.lists(st.sampled_from([K2, P3, K3, C4, C5]), min_size=1, max_size=3, unique=True),
+)
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]), [K3, P3])
+@example(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]), [P3, K3])
+def test_oracle_matches_assignment_max_cover(host: Graph, patterns):
+    """Subset recursion over copies found by raw permutation tests; lists
+    with two patterns of one order make the first pattern win shared sets."""
+    patterns = [p for p in patterns if p.n <= host.n]
+    if not patterns:
+        return
+    assert max_tiling_oracle(host, patterns).covered_count == assignment_max_cover(
+        host, patterns
+    )
+
+
+BOTTLE_212 = bottle_graph(2, 1, 2)
+ORACLE_PINS = {
+    # name: (host, patterns, maximize_overlap), (images, covered_count, nodes)
+    "c5-n14": (
+        (random_host(14, 5, 0.5), [C5], None),
+        ([(4, 5, 8, 6, 10), (7, 12, 11, 9, 13)], 10, 994),
+    ),
+    "k12-n12": (
+        (random_host(12, 8, 0.35), [complete_multipartite([1, 2]).graph], None),
+        ([(0, 1, 3), (4, 2, 5), (10, 6, 7), (11, 8, 9)], 12, 457),
+    ),
+    "k3-p3-n11": (
+        (random_host(11, 3, 0.45), [K3, P3], None),
+        ([(2, 9, 3), (5, 4, 10), (7, 6, 8)], 9, 259),
+    ),
+    "c4-overlap-n11": (
+        (random_host(11, 21, 0.45), [C4], range(0, 11, 3)),
+        ([(0, 1, 3, 5), (2, 6, 10, 9)], 8, 93),
+    ),
+    "bottle212-n12": (
+        (random_host(12, 13, 0.3), [BOTTLE_212], None),
+        ([(1, 0, 2), (9, 3, 4), (6, 5, 8), (10, 7, 11)], 12, 442),
+    ),
+    "c5-k3-n13": (
+        (random_host(13, 2, 0.55), [C5, K3], None),
+        ([(0, 3, 6, 2, 4), (1, 9, 11), (5, 8, 7, 12, 10)], 13, 931),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_PINS)
+def test_oracle_tilings_are_pinned(name):
+    """The oracle's witness is the first embedding of a subset in
+    itertools.permutations order; these are its exact outputs."""
+    (host, patterns, overlap), (images, covered, nodes) = ORACLE_PINS[name]
+    result = max_tiling_oracle(host, patterns, maximize_overlap=overlap)
+    assert [emb.image for emb in result.tiling.embeddings] == images
+    assert result.covered_count == covered
+    assert result.nodes == nodes
+    assert is_valid_tiling(host, result.tiling)
+    if name == "bottle212-n12":
+        for emb in result.tiling.embeddings:
+            assert emb.pattern_classes == BOTTLE_212.classes
