@@ -6,7 +6,7 @@ finders are exact: eligibility is decided per (vertex, copy) pair straight
 from the definition, and realizability of a full set reduces to maximum
 bipartite matching, so `none` really means no such set exists.
 
-The remaining gadgets are the greedy clique extraction and the exhaustive
+The remaining gadgets are the greedy clique extraction and the exact
 epsilon-regularity check on small sides.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence, Union
 
 from .graphs import (
@@ -372,16 +372,30 @@ class RegularityResult:
 def epsilon_regular_check(
     a_side: Sequence[int], b_side: Sequence[int], G: Graph, epsilon: Rational
 ) -> RegularityResult:
-    """Exhaustive epsilon-regularity check of the pair (A, B) in G.
+    """Exact epsilon-regularity check of the pair (A, B) in G.
 
-    Walks every subset pair (X, Y) with |X| > eps |A| and |Y| > eps |B| and
-    compares densities exactly; the first violating pair in mask order
+    Compares densities exactly over every subset pair (X, Y) with
+    |X| > eps |A| and |Y| > eps |B|; the first violating pair in mask order
     (subsets of A outermost, both sides enumerated as ascending bitmasks
     over the sorted side) is returned as the witness.
+
+    Each X is first decided from its degree profile: with d_X(y) the number
+    of neighbours of y in X, e(X, Y) over |Y| = s ranges between the sums of
+    the s smallest and the s largest d_X values, and the violation test only
+    gets easier as e(X, Y) moves away from density * |X| * s.  So some Y
+    violates with X exactly when one of those two extreme sums does; every
+    other X is skipped, and the Y-masks are walked only for the first X
+    with a violating extreme, which keeps the witness the one a walk over
+    every X would find.
     """
     A, B = sorted(a_side), sorted(b_side)
     if len(A) > REGULARITY_MAX_SIDE or len(B) > REGULARITY_MAX_SIDE:
         raise ValueError(f"sides must have at most {REGULARITY_MAX_SIDE} vertices")
+    for v in A + B:
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} is not in the graph ({G.n} vertices)")
+    if len(set(A)) < len(A) or len(set(B)) < len(B):
+        raise ValueError("a side repeats a vertex")
     if set(A) & set(B):
         raise ValueError("sides must be disjoint")
     eps = Fraction(epsilon)
@@ -390,24 +404,32 @@ def epsilon_regular_check(
     if not A or not B:
         return RegularityResult(regular=True, epsilon=eps, density=Fraction(0))
 
-    nbr = [sum(1 << j for j, w in enumerate(B) if G.has_edge(v, w)) for v in A]
-    e_ab = sum(mask.bit_count() for mask in nbr)
+    # cols[j]: the neighbours of B[j] in A, as a bitmask over A
+    cols = [sum(1 << i for i, v in enumerate(A) if G.has_edge(v, w)) for w in B]
+    e_ab = sum(mask.bit_count() for mask in cols)
     density = Fraction(e_ab, len(A) * len(B))
 
     # integer form of |e/(sx sy) - P/Q| >= E/F with all denominators cleared
     P, Q = density.numerator, density.denominator
     E, F = eps.numerator, eps.denominator
     nb = len(B)
+    sizes_y = range(E * nb // F + 1, nb + 1)  # the sy with sy F > E nb
     for xmask in range(1, 1 << len(A)):
         sx = xmask.bit_count()
         if sx * F <= E * len(A):
             continue
+        per_y = [(col & xmask).bit_count() for col in cols]  # d_X(B[j])
+        # least[s] / total - least[nb - s]: the least / greatest e(X, Y), |Y| = s
+        least = list(accumulate(sorted(per_y), initial=0))
+        total = least[nb]
+        if not any(
+            abs(e * Q * F - P * sx * sy * F) >= E * sx * sy * Q
+            for sy in sizes_y
+            for e in (least[sy], total - least[nb - sy])
+        ):
+            continue
+        # some Y violates: walk the Y-masks for the first one.
         # e(X, Y) for all Y at once: DP over Y-masks by lowest bit
-        per_y = [0] * nb
-        for i in iter_bits(xmask):
-            m = nbr[i]
-            for j in iter_bits(m):
-                per_y[j] += 1
         esum = [0] * (1 << nb)
         for ymask in range(1, 1 << nb):
             low = ymask & -ymask
@@ -426,4 +448,3 @@ def epsilon_regular_check(
                     witness=RegularityWitness(X=X, Y=Y, gap=gap),
                 )
     return RegularityResult(regular=True, epsilon=eps, density=density)
-

@@ -626,11 +626,14 @@ def verify_extremal_suite(
          A capped count is marked as a lower bound.
     ex3: the maximum tiling covers fewer than (x - eta) n vertices.
 
-    Points are read by :func:`read_params`.  A budget-limited solve
+    The grid is a list of points, each read by :func:`read_params`; any
+    other JSON value is a named input error.  A budget-limited solve
     downgrades the record to inconclusive.
     """
     if family not in _EXTREMAL_RUNNERS:
         raise ValueError(f"unknown family {family!r}; pick one of ex1, ex2, ex3")
+    if not isinstance(grid, (list, tuple)):
+        raise ValueError("grid must be a JSON list of objects")
     if not grid:
         raise ValueError("grid has no points")
     runner = _EXTREMAL_RUNNERS[family]

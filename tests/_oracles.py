@@ -3,8 +3,9 @@
 Everything here is written straight from the definitions with the dumbest
 possible enumeration, sharing no code path with tilekit: existence of
 expanding/swapping sets by trying all injections, regularity by walking
-subset pairs with Fraction arithmetic, copy catalogues by trying every vertex
-subset in lexicographic order.
+subset pairs with Fraction arithmetic (by size, and in mask order for the
+witness), copy catalogues by trying every vertex subset in lexicographic
+order.
 """
 
 from __future__ import annotations
@@ -94,6 +95,34 @@ def regularity_violation(
                     if abs(Fraction(inner, sx * sy) - density) >= epsilon:
                         return X, Y
     return None
+
+
+def regularity_mask_order(
+    a_side: Sequence[int], b_side: Sequence[int], G: Graph, epsilon: Fraction
+) -> tuple[Fraction, Optional[tuple[tuple[int, ...], tuple[int, ...], Fraction]]]:
+    """(density, first violating (X, Y, gap) in mask order or None).
+
+    Mask order: subsets of A outermost, each side's subsets as ascending
+    bitmasks over the sorted side (bit i stands for the i-th smallest vertex).
+    """
+    A, B = sorted(a_side), sorted(b_side)
+    if not A or not B:
+        return Fraction(0), None
+    edges = sum(G.has_edge(u, v) for u in A for v in B)
+    density = Fraction(edges, len(A) * len(B))
+    for xmask in range(1, 1 << len(A)):
+        X = tuple(u for i, u in enumerate(A) if xmask >> i & 1)
+        if Fraction(len(X)) <= epsilon * len(A):
+            continue
+        for ymask in range(1, 1 << len(B)):
+            Y = tuple(v for j, v in enumerate(B) if ymask >> j & 1)
+            if Fraction(len(Y)) <= epsilon * len(B):
+                continue
+            inner = sum(G.has_edge(u, v) for u in X for v in Y)
+            gap = abs(Fraction(inner, len(X) * len(Y)) - density)
+            if gap >= epsilon:
+                return density, (X, Y, gap)
+    return density, None
 
 
 def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:

@@ -357,6 +357,14 @@ def test_empty_experiments_are_rejected(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("grid", ["5", '{"a": 1}'], ids=["number", "object"])
+def test_verify_grid_must_be_a_list(capsys, grid):
+    code, out, err = run(capsys, "verify", "--family", "ex3", "--grid", grid, "--json")
+    assert code == 1
+    assert out == ""
+    assert err == "error: grid must be a JSON list of objects\n"
+
+
 # ---------------------------------------------------------------------------
 # plotdata
 # ---------------------------------------------------------------------------

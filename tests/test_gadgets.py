@@ -7,13 +7,19 @@ oracles in _oracles.py on randomly planted tilings.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from _oracles import expanding_set_exists, regularity_violation, swapping_set_exists
+from _oracles import (
+    expanding_set_exists,
+    regularity_mask_order,
+    regularity_violation,
+    swapping_set_exists,
+)
 from tilekit.gadgets import (
     ExpandingSet,
     GreedyFailure,
@@ -301,6 +307,13 @@ def test_regularity_validation():
         epsilon_regular_check(range(11), range(11, 13), Graph(13), Fraction(1, 2))
     with pytest.raises(ValueError, match="positive"):
         epsilon_regular_check([0], [1], Graph(2), 0)
+    k22 = complete_multipartite([2, 2]).graph
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        epsilon_regular_check([0, 0, 1], [2, 3], k22, Fraction(1, 2))
+    with pytest.raises(ValueError, match="vertex 9 is not in the graph"):
+        epsilon_regular_check([0, 1], [2, 9], k22, Fraction(1, 2))
+    with pytest.raises(ValueError, match="vertex -1 is not in the graph"):
+        epsilon_regular_check([-1, 1], [2, 3], k22, Fraction(1, 2))
 
 
 @PROPERTY_SETTINGS
@@ -314,3 +327,59 @@ def test_regularity_matches_fraction_brute_force(raw_edges: list, eps: Fraction)
     violation = regularity_violation(range(4), range(4, 8), g, eps)
     assert result.regular == (violation is None)
 
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.data(),
+    st.fractions(min_value=Fraction(1, 8), max_value=Fraction(7, 8), max_denominator=8),
+)
+def test_regularity_result_matches_mask_order_brute_force(
+    na: int, nb: int, data, eps: Fraction
+):
+    # one spare vertex outside both sides; labels shuffled so sorting matters
+    n = na + nb + 1
+    labels = data.draw(st.permutations(range(n)))
+    a_side, b_side = labels[:na], labels[na:na + nb]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if data.draw(st.booleans())]
+    g = Graph(n, edges)
+    result = epsilon_regular_check(a_side, b_side, g, eps)
+    density, witness = regularity_mask_order(a_side, b_side, g, eps)
+    assert result.epsilon == eps and result.density == density
+    assert result.regular == (witness is None)
+    got = result.witness and (result.witness.X, result.witness.Y, result.witness.gap)
+    assert got == witness
+
+
+def _half_dense_pair(seed: int, a_side, b_side) -> Graph:
+    rng = random.Random(seed)
+    edges = [(a, b) for a in sorted(a_side) for b in sorted(b_side) if rng.random() < 0.5]
+    return Graph(20, edges)
+
+
+# results of the full Y-mask walk on 10 x 10 pairs, the largest sides allowed
+@pytest.mark.parametrize(
+    "seed, a_side, b_side, eps, density, witness",
+    [
+        (3, range(10), range(10, 20), Fraction(1, 5), Fraction(43, 100),
+         ((0, 1, 2), (10, 11, 15), Fraction(71, 300))),
+        # the first X, (0, 1, 2), has no violating Y
+        (3, range(10), range(10, 20), Fraction(1, 4), Fraction(43, 100),
+         ((1, 2, 3), (10, 12, 16), Fraction(287, 900))),
+        (2, range(10), range(10, 20), Fraction(1, 2), Fraction(41, 100), None),
+        # interleaved sides, A given in descending order
+        (3, range(19, 0, -2), range(0, 20, 2), Fraction(1, 3), Fraction(43, 100),
+         ((3, 5, 9, 11), (0, 4, 8, 16), Fraction(147, 400))),
+    ],
+    ids=["irregular-eps1/5", "irregular-later-x-eps1/4", "regular-eps1/2",
+         "interleaved-eps1/3"],
+)
+def test_regularity_max_side_results_are_pinned(seed, a_side, b_side, eps, density, witness):
+    a_side, b_side = list(a_side), list(b_side)
+    result = epsilon_regular_check(a_side, b_side, _half_dense_pair(seed, a_side, b_side), eps)
+    assert result.density == density
+    assert result.regular == (witness is None)
+    got = result.witness and (result.witness.X, result.witness.Y, result.witness.gap)
+    assert got == witness
