@@ -6,7 +6,10 @@ failure or rejected input (a ValueError, or a usage error, which argparse
 reports with its usage line), 2 any inconclusive result (an exhausted
 solver budget is inconclusive, never a pass or a silent fail), 3 an
 internal error (any other exception), so that no crash reads as a "fail"
-verdict.  Both errors print one ``error: ...`` line to stderr.  Each verb
+verdict.  Both errors print one ``error: ...`` line to stderr.  A closed
+output pipe (``tilekit sweep --json | head``) is not an error: the verb
+stops, prints nothing more, and exits 141, which is 128 + SIGPIPE, what a
+shell reports for a writer killed by a closed pipe.  Each verb
 takes only the shared options it reads: ``--json`` all but gadgets (always
 JSON) and plotdata (always CSV), ``--budget`` solve, verify and sweep,
 ``--seed`` sweep.
@@ -495,6 +498,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PASS if not exc.code else EXIT_FAIL
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone: what is still buffered goes to os.devnull so
+        # that the flush at exit cannot raise again; 141 = 128 + SIGPIPE
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -129,7 +129,7 @@ class PartitionedGraph:
         return tuple(len(c) for c in self.classes)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Embedding:
     """Injective map witnessing one copy of `pattern` inside a host.
 

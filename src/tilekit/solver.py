@@ -9,9 +9,12 @@ automorphism-distinct embeddings of the same set are redundant branches.
   (Ullmann 1976; VF2, Cordella et al. 2004) grows embeddings from their
   least image vertex along pattern edges by intersecting neighbourhood
   bitmasks; stabilizer-chain constraints from Aut(pattern) (Grochow &
-  Kellis 2007) leave one embedding per copy.  Each image set carries its
-  lexicographically least embedding, pattern vertices read by descending
-  degree, ties by index, and sets are listed in lexicographic order.
+  Kellis 2007) leave one embedding per Aut(pattern)-orbit.  That is not one
+  per image set: a triangle carries three K_{1,2} embeddings, one per
+  centre, that no automorphism relates.  So the least of them per set is
+  kept: each image set carries its lexicographically least embedding,
+  pattern vertices read by descending degree, ties by index, and sets are
+  listed in lexicographic order.
 
 Two solvers deliberately share nothing beyond the Graph type:
 
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .graphs import Embedding, Graph, PartitionedGraph, Tiling, iter_bits
@@ -130,19 +134,23 @@ def _automorphism_extends(pattern: Graph, fixed: Sequence[tuple[int, int]]) -> b
 
 
 def _search_plans(pattern: Graph, order: Sequence[int]):
-    """Rooted growth plans that meet each copy once, in its least embedding.
+    """Rooted growth plans that meet each Aut(pattern)-orbit once.
 
     Symmetry breaking along the stabilizer chain of Aut(pattern) taken in
     `order`: for each order[i] and each other vertex b of its orbit under
     the automorphisms fixing order[:i], require image[order[i]] < image[b].
-    Exactly one embedding per copy satisfies all of these, the one whose
-    images read in `order` are lexicographically least.
+    Exactly one embedding per Aut(pattern)-orbit of embeddings satisfies all
+    of these, the one whose images read in `order` are lexicographically
+    least.  That is one per orbit, not one per image set: a set can carry
+    several orbits that no automorphism relates (a triangle carries three
+    K_{1,2} embeddings, one per choice of centre), so the caller still keeps
+    the least of them per set.
 
     One plan per root, a pattern vertex allowed to carry the least image
     vertex.  A plan lists the pattern vertices in growth order (next: most
-    placed neighbours, then degree, then index) and, per step, the earlier
-    positions the new vertex must be adjacent to, lie above and lie below,
-    and where each vertex of `order` sits in it.
+    placed neighbours, then degree, then index).  Each step names the vertex
+    placed by its *slot*, its position in `order`, and the slots of the
+    earlier vertices it must be adjacent to, lie above and lie below.
     """
     h = pattern.n
     rows = pattern.rows
@@ -153,6 +161,7 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
         if _automorphism_extends(pattern, [(p, p) for p in order[:i]] + [(a, b)])
     ]
     above = {b for _, b in pairs}
+    slot = {v: i for i, v in enumerate(order)}
     plans = []
     for root in order:
         if root in above:
@@ -163,16 +172,15 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
                 (v for v in range(h) if v not in seq),
                 key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
             ))
-        pos = {v: i for i, v in enumerate(seq)}
-        steps = [
+        plans.append(tuple(
             (
-                tuple(pos[w] for w in seq[:i] if rows[v] >> w & 1),
-                tuple(pos[a] for a, b in pairs if b == v and pos[a] < i),
-                tuple(pos[b] for a, b in pairs if a == v and pos[b] < i),
+                slot[v],
+                tuple(slot[w] for w in seq[:i] if rows[v] >> w & 1),
+                tuple(slot[a] for a, b in pairs if b == v and a in seq[:i]),
+                tuple(slot[b] for a, b in pairs if a == v and b in seq[:i]),
             )
             for i, v in enumerate(seq)
-        ]
-        plans.append((steps, tuple(pos[u] for u in order)))
+        ))
     return plans
 
 
@@ -183,40 +191,65 @@ def _least_witnesses(
 
     Chunk by the least image vertex v1, ascending.  Within a chunk, grow each
     embedding from v1 along the plans of :func:`_search_plans`, drawing host
-    vertices from the pool above v1 and intersecting neighbourhood masks;
-    keep, per image set, the witness least in (-degree, index) order; then
-    yield the chunk's sets in lexicographic order.
+    vertices from the pool above v1 and intersecting neighbourhood masks.
+    The plans leave one embedding per Aut(pattern)-orbit, and an image set
+    can carry several orbits (a triangle carries three K_{1,2} embeddings),
+    so keep, per image set, the key (images read in (-degree, index) order)
+    that is least; it is the witness.  The last growth step records its
+    candidates in a loop rather than one call each.
+
+    The chunk's dict is keyed by the *reversed* image mask, bit n-1-v for
+    vertex v.  Among sets of one size the lexicographic order of the sorted
+    sets is descending order of reversed masks, so the chunk is yielded by
+    a plain reverse sort, and `touching` is tested on the reversed mask.
     """
     h = pattern.n
+    n = host.n
     rows = host.rows
     order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
     plans = _search_plans(pattern, order)
-    # the current chunk and plan, read by grow
+    # key -> image; itemgetter returns a bare item, not a 1-tuple, for one index
+    to_image = itemgetter(*sorted(range(h), key=order.__getitem__)) if h > 1 else tuple
+    rtouch = 0
+    if touch_mask is not None:
+        for v in iter_bits(touch_mask):
+            rtouch |= 1 << (n - 1 - v)
+    # the current chunk and plan, read by grow; img holds images by slot
     img = [0] * h
     best: dict[int, tuple[int, ...]] = {}
     avail = 0
-    steps: list = []
-    key_pos: tuple[int, ...] = ()
+    steps: tuple = ()
+    last = h - 1
 
-    def grow(i: int, used: int) -> None:
-        if i == h:
-            key = tuple([img[p] for p in key_pos])
-            old = best.get(used)
-            if old is None or key < old:
-                best[used] = key
+    def grow(i: int, used: int, rused: int, cand: int) -> None:
+        """Place step i on each vertex of cand and grow the rest."""
+        s = steps[i][0]
+        if i == last:
+            while cand:
+                low = cand & -cand
+                top = low.bit_length()
+                img[s] = top - 1
+                key = tuple(img)
+                r = rused | 1 << (n - top)
+                old = best.get(r)
+                if old is None or key < old:
+                    best[r] = key
+                cand ^= low
             return
-        nbrs, lo, hi = steps[i]
-        cand = avail & ~used
-        for p in nbrs:
-            cand &= rows[img[p]]
-        for p in lo:
-            cand &= -2 << img[p]
-        for p in hi:
-            cand &= (1 << img[p]) - 1
+        _, nbrs, lo, hi = steps[i + 1]
         while cand:
             low = cand & -cand
-            img[i] = low.bit_length() - 1
-            grow(i + 1, used | low)
+            top = low.bit_length()
+            img[s] = top - 1
+            nxt = avail & ~(used | low)
+            for p in nbrs:
+                nxt &= rows[img[p]]
+            for p in lo:
+                nxt &= -2 << img[p]
+            for p in hi:
+                nxt &= (1 << img[p]) - 1
+            if nxt:
+                grow(i + 1, used | low, rused | 1 << (n - top), nxt)
             cand ^= low
 
     for v1 in iter_bits(pool_mask):
@@ -226,17 +259,11 @@ def _least_witnesses(
         if touch_mask is not None and not (touch_mask & pool_mask) >> v1:
             return
         best.clear()
-        img[0] = v1
-        for steps, key_pos in plans:
-            grow(1, 1 << v1)
-        chunk = sorted(best.items(), key=lambda item: sorted(item[1]))
-        for mask, key in chunk:
-            if touch_mask is not None and not mask & touch_mask:
-                continue
-            image = [0] * h
-            for u, x in zip(order, key):
-                image[u] = x
-            yield tuple(image)
+        for steps in plans:
+            grow(0, 0, 0, 1 << v1)
+        for r in sorted(best, reverse=True):
+            if touch_mask is None or r & rtouch:
+                yield to_image(best[r])
 
 
 def _vertex_mask(host: Graph, vertices: Iterable[int], name: str) -> int:

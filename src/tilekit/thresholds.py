@@ -128,9 +128,19 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if g.edge_count() == 0:
         return 1
+    return _chi_and_sigma(g)[0]
+
+
+def _chi_and_sigma(g: Graph) -> tuple[int, int]:
+    """(chi, sigma) of a graph with an edge, from one colouring search per k.
+
+    The first k at which :func:`sigma_coloring` finds a proper k-colouring
+    is chi, and the smallest class that same search reports is sigma.
+    """
     for k in range(max(2, _greedy_clique_size(g)), g.n + 1):
-        if sigma_coloring(g, k)[0] <= g.n:
-            return k
+        sigma = sigma_coloring(g, k)[0]
+        if sigma <= g.n:
+            return k, sigma
     raise AssertionError("unreachable: every graph is n-colorable")
 
 
@@ -191,7 +201,7 @@ def chromatic_data(pattern: Graph) -> TilingParams:
 
     Complete multipartite patterns short-circuit the search: their parts are
     the colour classes of every optimal colouring, so sigma is the smallest
-    part.
+    part.  Other patterns take chi and sigma from the same colouring search.
     """
     if pattern.n == 0:
         raise ValueError("empty pattern")
@@ -203,8 +213,7 @@ def chromatic_data(pattern: Graph) -> TilingParams:
         r = len(parts)
         sigma = min(len(p) for p in parts)
     else:
-        r = chromatic_number(pattern)
-        sigma = smallest_color_class(pattern, r)
+        r, sigma = _chi_and_sigma(pattern)
     return TilingParams(
         h=h,
         r=r,

@@ -1,10 +1,14 @@
 """End-to-end CLI tests through main(argv); exit codes are the contract:
-0 pass, 1 fail or rejected input, 2 inconclusive, 3 internal error."""
+0 pass, 1 fail or rejected input, 2 inconclusive, 3 internal error, 141 a
+closed output pipe."""
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -420,6 +424,23 @@ def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
     assert out == ""
     assert err.startswith(f"error: {error}: ")
     assert err.count("\n") == 1
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_output_pipe_exits_141_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["thresholds", "--pattern", "C5", "--json"])
+    devnull = sys.stdout
+    devnull.close()
+    assert code == 141
+    assert devnull.name == os.devnull
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -164,6 +165,49 @@ def test_catalog_matches_subset_reference(host, pattern, cap, data):
     images, truncated = reference_copies(host, pg, cap, within, touching)
     assert [emb.image for emb in cat.copies] == images
     assert cat.truncated == truncated
+
+
+def _image_digest(cat: CopyCatalog) -> str:
+    return hashlib.sha256(repr([emb.image for emb in cat.copies]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "pattern, count, digest",
+    [
+        (C5, 29855, "1e1e00d054e44af8adcc5ed0d56b43ddea1bd78be11ffb206ffad54205af55a5"),
+        (complete_multipartite([1, 2, 2]).graph, 3311,
+         "c0c34634fb2e994f4d63c702dccb86fd35b204fc0f2f734da7a4e4a9b2107ee5"),
+    ],
+    ids=["C5", "K_{1,2,2}"],
+)
+def test_half_dense_catalog_is_pinned(pattern, count, digest):
+    # G(30, 217): too large for the subset reference, so the catalogue's
+    # images and order are pinned by count and digest
+    rng = random.Random(30)
+    pairs = [(u, v) for u in range(30) for v in range(u + 1, 30)]
+    host = Graph(30, rng.sample(pairs, 217))
+    cat = enumerate_copies(host, pattern)
+    assert len(cat) == count and not cat.truncated
+    assert _image_digest(cat) == digest
+
+
+def test_twin_pool_catalog_is_pinned():
+    # the call max_tiling makes on a Lemma 6.2 host: the pool is the first
+    # h twins of each class
+    bottle = bottle_graph(3, 1, 2)
+    host = lemma62_perfect_tiling("Kr", bottle, 2).host.graph
+    seen: dict[int, int] = {}  # row -> twins met so far
+    pool = []
+    for v, row in enumerate(host.rows):
+        seen[row] = seen.get(row, 0) + 1
+        if seen[row] <= bottle.graph.n:
+            pool.append(v)
+    assert (host.n, len(pool)) == (30, 15)
+    cat = enumerate_copies(host, bottle, within=pool)
+    assert len(cat) == 1500 and not cat.truncated
+    assert cat.copies[0].image == (20, 0, 1, 10, 11)
+    assert all(emb.pattern_classes == bottle.classes for emb in cat.copies)
+    assert _image_digest(cat) == "28e7e3d04e2deb32dd4f63407bda869986dc24e2ad5b9ac39f4239fb3c2edf89"
 
 
 @PROPERTY_SETTINGS

@@ -135,6 +135,14 @@ def test_sigma_coloring_below_chi_finds_nothing(g: Graph):
     assert sigma_coloring(g, chromatic_number(g) - 1) == (g.n + 1, ())
 
 
+@PROPERTY_SETTINGS
+@given(graphs_with_edge(max_n=8))
+def test_chromatic_data_agrees_with_the_public_searches(g: Graph):
+    params = chromatic_data(g)
+    r = chromatic_number(g)
+    assert (params.r, params.sigma) == (r, smallest_color_class(g, r))
+
+
 def test_known_parameter_bundles():
     c5 = chromatic_data(C5)
     assert (c5.h, c5.r, c5.sigma) == (5, 3, 1)
