@@ -27,10 +27,13 @@ Two solvers deliberately share nothing beyond the Graph type:
   by the bound covered + the best coin sum of pattern sizes within the free
   count, and by a dominance table of the most covered seen per free mask.
   On a host without twins every type is one copy.
-* :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks,
-  for hosts up to 16 vertices.  Copies are found per vertex subset by raw
-  permutation testing, keyed by the subset's induced shape: one table per
-  pattern of the first permutation for each set of needed pairs.
+* :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
+  (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
+  vertices.  Copies are found per vertex subset by raw permutation testing,
+  keyed by the subset's induced shape: one table per pattern of the first
+  permutation for each set of needed pairs.  Each copy is listed once,
+  under its least vertex; a value is one integer encoding (covered,
+  overlap), and the tiling is walked back from the memo.
 """
 
 from __future__ import annotations
@@ -607,11 +610,20 @@ def max_tiling_oracle(
     permutation of the subset that embeds the pattern (no shared code with
     the main search).  That permutation depends only on the subset's induced
     shape, so it is looked up per shape in a table of permutations built
-    lazily once per pattern and call (:func:`_oracle_copy_test`).  The
-    optimum is a memoized recursion over free-vertex bitmasks.  With
+    lazily once per pattern and call (:func:`_oracle_copy_test`).  With
     ``maximize_overlap`` the objective becomes lexicographic (covered
     vertices, then overlap with the given set), which answers "how much of
     this set can an optimal tiling cover?" exactly.
+
+    The optimum is a memoized recursion over free-vertex bitmasks.  A state
+    either skips its least free vertex v or places a copy through it; such a
+    copy has v as its least vertex, so each copy is listed once, under its
+    least vertex, in ascending mask order.  A value is the single integer
+    covered * (n + 1) + overlap, which orders as the pair since overlap <= n.
+    The recursion keeps the first copy that strictly beats the running best,
+    so the tiling is walked back from the memo alone: skip v when that ties,
+    else take the first fitting copy that reaches the state's value.
+    ``nodes`` counts the non-empty free masks memoized.
     """
     if host.n > ORACLE_MAX_VERTICES:
         raise ValueError(
@@ -619,6 +631,15 @@ def max_tiling_oracle(
         )
     if not patterns:
         raise ValueError("need at least one pattern")
+    n = host.n
+    overlap_mask = 0
+    if maximize_overlap is not None:
+        for v in maximize_overlap:
+            if not 0 <= v < n:
+                raise ValueError(
+                    f"maximize_overlap vertex {v} outside the host range 0..{n - 1}"
+                )
+            overlap_mask |= 1 << v
 
     copy_map: dict[int, Embedding] = {}
     seen_pattern_graphs = set()
@@ -626,11 +647,11 @@ def max_tiling_oracle(
         pg, pcls = _pattern_parts(p)
         if pg.n == 0:
             raise ValueError("empty pattern")
-        if pg in seen_pattern_graphs or pg.n > host.n:
+        if pg in seen_pattern_graphs or pg.n > n:
             continue
         seen_pattern_graphs.add(pg)
         image_of = _oracle_copy_test(host, pg)
-        for subset in combinations(range(host.n), pg.n):
+        for subset in combinations(range(n), pg.n):
             mask = 0
             for v in subset:
                 mask |= 1 << v
@@ -640,58 +661,54 @@ def max_tiling_oracle(
             if image is not None:
                 copy_map[mask] = Embedding(pg, image, pcls)
 
-    per_vertex: list[list] = [[] for _ in range(host.n)]
+    # value of a free mask: covered * (n + 1) + overlap, which orders as the
+    # pair (covered, overlap) because overlap <= n
+    scale = n + 1
+    by_least: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for mask in sorted(copy_map):
-        emb = copy_map[mask]
-        for w in emb.image:
-            per_vertex[w].append((mask, emb))
+        by_least[(mask & -mask).bit_length() - 1].append(
+            (mask, mask.bit_count() * scale + (mask & overlap_mask).bit_count())
+        )
 
-    overlap_mask = 0
-    if maximize_overlap is not None:
-        for v in maximize_overlap:
-            overlap_mask |= 1 << v
+    memo = {0: 0}
 
-    memo: dict[int, tuple[int, int]] = {}
-    pick: dict[int, tuple[str, int]] = {}
-
-    def value(free: int) -> tuple[int, int]:
-        if not free:
-            return (0, 0)
-        got = memo.get(free)
-        if got is not None:
-            return got
-        v = (free & -free).bit_length() - 1
-        best = value(free & ~(1 << v))
-        best_pick = ("skip", v)
-        for mask, emb in per_vertex[v]:
+    def value(free: int) -> int:
+        # only copies through the least free vertex can fit: it is their least
+        low = free & -free
+        best = memo.get(free ^ low)
+        if best is None:
+            best = value(free ^ low)
+        for mask, worth in by_least[low.bit_length() - 1]:
             if mask & free == mask:
-                sub = value(free & ~mask)
-                cand = (
-                    sub[0] + emb.pattern.n,
-                    sub[1] + (mask & overlap_mask).bit_count(),
-                )
-                if cand > best:
-                    best = cand
-                    best_pick = ("copy", mask)
+                sub = memo.get(free ^ mask)
+                if sub is None:
+                    sub = value(free ^ mask)
+                if sub + worth > best:
+                    best = sub + worth
         memo[free] = best
-        pick[free] = best_pick
         return best
 
-    full = (1 << host.n) - 1
-    covered, _overlap = value(full)
+    full = (1 << n) - 1
+    total = value(full) if full else 0
 
+    # walk back: skipping the least vertex wins ties, else the first copy
+    # in by_least order that reaches the optimum, as the strict > above
     embs = []
     cursor = full
     while cursor:
-        kind, payload = pick[cursor]
-        if kind == "skip":
-            cursor &= ~(1 << payload)
-        else:
-            embs.append(copy_map[payload])
-            cursor &= ~payload
+        low = cursor & -cursor
+        best = memo[cursor]
+        if memo[cursor ^ low] == best:
+            cursor ^= low
+            continue
+        for mask, worth in by_least[low.bit_length() - 1]:
+            if mask & cursor == mask and memo[cursor ^ mask] + worth == best:
+                break
+        embs.append(copy_map[mask])
+        cursor ^= mask
     return TilingResult(
         tiling=Tiling(tuple(embs)),
-        covered_count=covered,
+        covered_count=total // scale,
         optimality="proven-optimal",
-        nodes=len(memo),
+        nodes=len(memo) - 1,
     )

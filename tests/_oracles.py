@@ -5,7 +5,8 @@ possible enumeration, sharing no code path with tilekit: existence of
 expanding/swapping sets by trying all injections, regularity by walking
 subset pairs with Fraction arithmetic (by size, and in mask order for the
 witness), copy catalogues by trying every vertex subset in lexicographic
-order.
+order, and the maximum tiling, with or without the lexicographic overlap
+objective, by recursion over an explicit copy list.
 """
 
 from __future__ import annotations
@@ -125,12 +126,9 @@ def regularity_mask_order(
     return density, None
 
 
-def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:
-    """Maximum covered vertices over all families of disjoint copies.
-
-    Exponential subset recursion over an explicit copy list found by raw
-    permutation testing; only for small hosts.
-    """
+def _copy_masks(G: Graph, patterns: Sequence[Graph]) -> list[int]:
+    """Vertex masks of the subsets holding a copy of some pattern, ascending,
+    found by raw permutation testing."""
     copy_masks: set[int] = set()
     for pattern in patterns:
         pedges = list(pattern.edges())
@@ -144,8 +142,16 @@ def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:
                         mask |= 1 << v
                     copy_masks.add(mask)
                     break
+    return sorted(copy_masks)
 
-    masks = sorted(copy_masks)
+
+def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:
+    """Maximum covered vertices over all families of disjoint copies.
+
+    Exponential subset recursion over an explicit copy list found by raw
+    permutation testing; only for small hosts.
+    """
+    masks = _copy_masks(G, patterns)
 
     def rec(idx: int, used: int) -> int:
         if idx == len(masks):
@@ -154,6 +160,31 @@ def assignment_max_cover(G: Graph, patterns: Sequence[Graph]) -> int:
         if masks[idx] & used == 0:
             best = max(
                 best, masks[idx].bit_count() + rec(idx + 1, used | masks[idx])
+            )
+        return best
+
+    return rec(0, 0)
+
+
+def assignment_max_cover_overlap(
+    G: Graph, patterns: Sequence[Graph], overlap: Sequence[int]
+) -> tuple[int, int]:
+    """Lexicographic maximum of (covered, |covered & overlap|) over all
+    families of disjoint copies, by the same recursion over the copy list,
+    comparing pairs as tuples."""
+    masks = _copy_masks(G, patterns)
+    target = frozenset(overlap)
+
+    def rec(idx: int, used: int) -> tuple[int, int]:
+        if idx == len(masks):
+            return (0, 0)
+        best = rec(idx + 1, used)
+        if masks[idx] & used == 0:
+            covered, hit = rec(idx + 1, used | masks[idx])
+            placed = [v for v in range(G.n) if masks[idx] >> v & 1]
+            best = max(
+                best,
+                (covered + len(placed), hit + sum(v in target for v in placed)),
             )
         return best
 

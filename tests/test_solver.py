@@ -4,15 +4,22 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import assignment_max_cover, reference_copies
+from _oracles import assignment_max_cover, assignment_max_cover_overlap, reference_copies
 from tilekit import solver
-from tilekit.constructions import extremal_three, extremal_two, lemma62_perfect_tiling
+from tilekit.constructions import (
+    ExtremalOneSpec,
+    extremal_one,
+    extremal_three,
+    extremal_two,
+    lemma62_perfect_tiling,
+)
 from tilekit.graphs import (
     Graph,
     Tiling,
@@ -476,6 +483,13 @@ def test_oracle_overlap_never_beats_coverage():
     assert result.covered_count == 5
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_oracle_rejects_overlap_vertices_outside_the_host(bad):
+    message = f"maximize_overlap vertex {bad} outside the host range 0..2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        max_tiling_oracle(P3, [K2], maximize_overlap=[bad])
+
+
 # ---------------------------------------------------------------------------
 # the oracle against a slower one, and its witnesses
 # ---------------------------------------------------------------------------
@@ -499,7 +513,34 @@ def test_oracle_matches_assignment_max_cover(host: Graph, patterns):
     )
 
 
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    coin_hosts(max_n=7),
+    st.lists(st.sampled_from([K2, P3, K3, C4, C5]), min_size=1, max_size=3, unique=True),
+    st.sets(st.integers(0, 6)),
+)
+@example(P3, [K2], {2})
+@example(Graph(4, [(0, 1), (2, 3)]), [K2], {0, 1, 2, 3})
+@example(Graph(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), [K3, K2], {3, 4})
+def test_oracle_overlap_matches_lexicographic_brute_force(host: Graph, patterns, drawn):
+    """(covered, overlap) of the oracle's tiling is the lexicographic
+    maximum over all families of disjoint copies; the second example covers
+    every vertex of the overlap set, the largest value the encoding holds."""
+    patterns = [p for p in patterns if p.n <= host.n]
+    if not patterns:
+        return
+    overlap = {v for v in drawn if v < host.n}
+    result = max_tiling_oracle(host, patterns, maximize_overlap=overlap)
+    assert is_valid_tiling(host, result.tiling)
+    got = (result.covered_count, len(result.tiling.covered & overlap))
+    assert got == assignment_max_cover_overlap(host, patterns, overlap)
+
+
 BOTTLE_212 = bottle_graph(2, 1, 2)
+# the default ex1 grid point of `tilekit verify --family ex1`
+EX1_DEFAULT = extremal_one(
+    ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
+)
 ORACLE_PINS = {
     # name: (host, patterns, maximize_overlap), (images, covered_count, nodes)
     "c5-n14": (
@@ -525,6 +566,14 @@ ORACLE_PINS = {
     "c5-k3-n13": (
         (random_host(13, 2, 0.55), [C5, K3], None),
         ([(0, 3, 6, 2, 4), (1, 9, 11), (5, 8, 7, 12, 10)], 13, 931),
+    ),
+    "c5-k3-overlap-n16": (
+        (random_host(16, 9, 0.3), [C5, K3], range(0, 16, 2)),
+        ([(0, 3, 2, 6, 8), (1, 11, 9, 5, 12), (4, 10, 14, 13, 15)], 15, 1393),
+    ),
+    "ex1-default-n15": (
+        (EX1_DEFAULT.host.graph, [BOTTLE_212], EX1_DEFAULT.C),
+        ([(0, 5, 6), (2, 9, 10), (3, 11, 12), (4, 13, 14)], 12, 3074),
     ),
 }
 
