@@ -2,17 +2,17 @@
 
 Subcommands: thresholds, construct, solve, gadgets, verify, sweep,
 plotdata.  Exit codes carry the verdict: 0 all checks passed, 1 any
-failure or rejected input (a ValueError, or a usage error, which argparse
-reports with its usage line), 2 any inconclusive result (an exhausted
-solver budget is inconclusive, never a pass or a silent fail), 3 an
-internal error (any other exception), so that no crash reads as a "fail"
-verdict.  Both errors print one ``error: ...`` line to stderr.  A closed
-output pipe (``tilekit sweep --json | head``) is not an error: the verb
-stops, prints nothing more, and exits 141, which is 128 + SIGPIPE, what a
-shell reports for a writer killed by a closed pipe.  Each verb
-takes only the shared options it reads: ``--json`` all but gadgets (always
-JSON) and plotdata (always CSV), ``--budget`` solve, verify and sweep,
-``--seed`` sweep.
+failure or rejected input (a ValueError, an input file that cannot be
+read, which is an OSError, or a usage error, which argparse reports with
+its usage line), 2 any inconclusive result (an exhausted solver budget is
+inconclusive, never a pass or a silent fail), 3 an internal error (any
+other exception), so that no crash reads as a "fail" verdict.  Both
+errors print one ``error: ...`` line to stderr.  A closed output pipe
+(``tilekit sweep --json | head``) is not an error: the verb stops, prints
+nothing more, and exits 141, which is 128 + SIGPIPE, what a shell reports
+for a writer killed by a closed pipe.  Each verb takes only the shared
+options it reads: ``--json`` all but gadgets (always JSON) and plotdata
+(always CSV), ``--budget`` solve, verify and sweep, ``--seed`` sweep.
 
 Hosts and patterns are given either as files (edge list or graph6) or as
 names in the small pattern grammar (K_t, K_{a,b,...}, C_k, bottle(r,s,w)).
@@ -27,8 +27,6 @@ import sys
 from typing import Optional, Sequence
 
 from .constructions import (
-    ExtremalOneSpec,
-    HStarSpec,
     build_h1,
     build_hstar,
     extremal_one,
@@ -38,7 +36,6 @@ from .constructions import (
 )
 from .gadgets import (
     GreedyFailure,
-    GreedyKrParams,
     find_expanding_set,
     find_swapping_set,
     greedy_kr,
@@ -104,20 +101,33 @@ def _load_json_arg(text: str):
     return json.loads(text)
 
 
-def _load_tiling(path: str) -> tuple[Tiling, PartitionedGraph]:
+def _int_rows(what: str, value, pairs: bool = False) -> list[tuple[int, ...]]:
+    """A JSON list of integer lists as tuples, or a ValueError naming `what`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what}: not a list: {value!r}")
+    for row in value:
+        if not (isinstance(row, list) and all(type(v) is int for v in row)):
+            raise ValueError(f"{what}: not a list of integers: {row!r}")
+        if pairs and len(row) != 2:
+            raise ValueError(f"{what}: not a vertex pair: {row!r}")
+    return [tuple(row) for row in value]
+
+
+def _load_tiling(path: str) -> Tiling:
     """Tiling JSON: {"pattern": {n, edges, classes}, "embeddings": [[...]]}."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     require_keys(data, ("pattern", "embeddings"), "tiling")
     pat = data["pattern"]
     require_keys(pat, ("n", "edges", "classes"), "tiling pattern")
-    g = Graph(pat["n"], [tuple(e) for e in pat["edges"]])
-    classes = tuple(tuple(c) for c in pat["classes"])
-    partitioned = PartitionedGraph(g, classes)
-    embeddings = tuple(
-        Embedding(g, tuple(img), classes) for img in data["embeddings"]
-    )
-    return Tiling(embeddings), partitioned
+    if type(pat["n"]) is not int:
+        raise ValueError(f"tiling pattern 'n': not an integer: {pat['n']!r}")
+    edges = _int_rows("tiling pattern 'edges'", pat["edges"], pairs=True)
+    classes = tuple(_int_rows("tiling pattern 'classes'", pat["classes"]))
+    images = _int_rows("tiling 'embeddings'", data["embeddings"])
+    g = Graph(pat["n"], edges)
+    PartitionedGraph(g, classes)  # raises unless the classes partition [n]
+    return Tiling(tuple(Embedding(g, img, classes) for img in images))
 
 
 def _line_payload(line) -> dict:
@@ -174,7 +184,7 @@ def cmd_thresholds(args) -> int:
 
 
 def _construct_ex1(params: dict):
-    inst = extremal_one(ExtremalOneSpec(**params))
+    inst = extremal_one(**params)
     sidecar = {
         "family": "ex1",
         "classes": [list(c) for c in inst.host.classes],
@@ -201,7 +211,7 @@ def _construct_ex3(params: dict):
 
 
 def _construct_hstar(params: dict):
-    result = build_hstar(HStarSpec(**params))
+    result = build_hstar(**params)
     sidecar = {
         "family": "hstar",
         "classes": [list(c) for c in result.hstar.classes],
@@ -287,10 +297,9 @@ def cmd_solve(args) -> int:
 def cmd_gadgets(args) -> int:
     host = _load_graph(args.host)
     if args.find == "kr":
-        params = GreedyKrParams(
-            r=args.r, sigma=args.sigma, omega=args.omega, eta=parse_rational(args.eta)
+        outcome = greedy_kr(
+            host, args.r, args.sigma, args.omega, parse_rational(args.eta)
         )
-        outcome = greedy_kr(host, params)
         if isinstance(outcome, GreedyFailure):
             _emit(
                 {
@@ -305,7 +314,7 @@ def cmd_gadgets(args) -> int:
 
     if not args.tiling:
         raise ValueError(f"--find {args.find} needs --tiling")
-    tiling, _pattern = _load_tiling(args.tiling)
+    tiling = _load_tiling(args.tiling)
     valid = is_valid_tiling(host, tiling)
     if not valid:
         raise ValueError(f"tiling is not in the host: {valid.violation}")
@@ -503,7 +512,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # that the flush at exit cannot raise again; 141 = 128 + SIGPIPE
         sys.stdout = open(os.devnull, "w")
         return 141
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # OSError: an input file that cannot be read (missing, a directory)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except Exception as exc:

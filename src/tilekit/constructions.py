@@ -17,9 +17,11 @@ graph that a pattern tiles in exact proportion x.  Every copy is placed by
 one routine, which puts pattern class i on the next fresh vertices of a
 chosen host class; a construction is its list of target classes per copy.
 
-Every constructor validates its divisibility preconditions eagerly and names
-the violated constraint; rounding only happens where a ceiling or floor is
-part of the defining formula.
+Every constructor takes its parameters as plain arguments, named as the
+``tilekit construct --params`` keys, validates its divisibility
+preconditions eagerly and names the violated constraint, and checks the
+host order against ``MAX_VERTICES`` before it lists an edge; rounding only
+happens where a ceiling or floor is part of the defining formula.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .graphs import (
     Tiling,
     bottle_graph,
     bottle_shape,
+    check_order,
     complete_multipartite,
     iter_bits,
     multipartite_classes,
@@ -44,11 +47,9 @@ from .thresholds import TilingParams, chromatic_data, chromatic_number, sigma_co
 
 __all__ = [
     "ExtremalOneInstance",
-    "ExtremalOneSpec",
     "ExtremalTwoInstance",
     "H1Result",
     "HStarResult",
-    "HStarSpec",
     "Lemma62Result",
     "LEMMA62_TARGETS",
     "build_h1",
@@ -74,64 +75,43 @@ def _exact_int(value: Fraction, what: str) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExtremalOneSpec:
-    """Parameters for the staircase host.
-
-    The host has one class of size sigma*n/b and r-1 classes of size
-    omega*n/b, where b = sigma + (r-1)*omega must divide n.  The window of
-    flattened degrees starts at index k; its width 2*eta*n must be a positive
-    integer, or ex1's required miss ceil(3 eta n / 2) is <= 0 and vacuous.
-    """
-
-    r: int
-    sigma: int
-    omega: int
-    n: int
-    eta: Fraction
-    k: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", Fraction(self.eta))
-
-    @property
-    def b(self) -> int:
-        return self.sigma + (self.r - 1) * self.omega
-
-
-@dataclass(frozen=True)
 class ExtremalOneInstance:
     host: PartitionedGraph
     A: tuple[int, ...]
     C: tuple[int, ...]
-    spec: ExtremalOneSpec
 
 
-def extremal_one(spec: ExtremalOneSpec) -> ExtremalOneInstance:
+def extremal_one(
+    r: int, sigma: int, omega: int, n: int, eta: Rational, k: int
+) -> ExtremalOneInstance:
     """Host whose sorted degrees flatten on the window [k, k + 2*eta*n].
 
-    Classes V_1 (size sigma*n/b), V_2 ... V_r (size omega*n/b each); V_1 is
-    adjacent to everything outside V_2 (in particular V_1 is a clique); the
-    classes V_2 ... V_r are completely joined to each other; between V_2 and
-    V_1 runs the staircase c_i a_j for j <= ceil(sigma*i/omega), minus the
-    deletion rectangle k+1 <= i <= k+2*eta*n,
-    ceil(sigma*k/omega) < j <= ceil(sigma*(k+2*eta*n)/omega).
+    Classes V_1 (size sigma*n/b), V_2 ... V_r (size omega*n/b each), where
+    b = sigma + (r-1)*omega must divide n; V_1 is adjacent to everything
+    outside V_2 (in particular V_1 is a clique); the classes V_2 ... V_r are
+    completely joined to each other; between V_2 and V_1 runs the staircase
+    c_i a_j for j <= ceil(sigma*i/omega), minus the deletion rectangle
+    k+1 <= i <= k+2*eta*n,
+    ceil(sigma*k/omega) < j <= ceil(sigma*(k+2*eta*n)/omega).  The window
+    width 2*eta*n must be a positive integer, or ex1's required miss
+    ceil(3 eta n / 2) is <= 0 and vacuous.
 
     Returns the host together with A (the V_1 vertices the staircase still
     joins to every window row) and C (the first k + 2*eta*n staircase rows).
     C is independent and has no edges to V_1 minus A, so every pattern copy
     meeting C must spend neck vertices inside A.
     """
-    r, sigma, omega, n, k = spec.r, spec.sigma, spec.omega, spec.n, spec.k
     if r < 2:
         raise ValueError("need r >= 2")
     if not 1 <= sigma <= omega:
         raise ValueError("need 1 <= sigma <= omega")
-    if spec.eta <= 0:
+    eta = Fraction(eta)
+    if eta <= 0:
         raise ValueError("eta must be positive")
-    b = spec.b
+    b = sigma + (r - 1) * omega
     if n % b:
         raise ValueError(f"b = {b} must divide n = {n}")
-    window = spec.eta * n * 2
+    window = eta * n * 2
     if window.denominator != 1:
         raise ValueError(f"2*eta*n = {window} is not an integer")
     window = int(window)
@@ -141,6 +121,7 @@ def extremal_one(spec: ExtremalOneSpec) -> ExtremalOneInstance:
         raise ValueError(
             f"k must satisfy 1 <= k and k + 2*eta*n < omega*n/b = {width_size}"
         )
+    check_order(n)
 
     # vertex layout: V_1 = [0, neck_size), V_2 the next width_size, and so on
     classes = [tuple(range(neck_size))]
@@ -172,7 +153,7 @@ def extremal_one(spec: ExtremalOneSpec) -> ExtremalOneInstance:
     host = PartitionedGraph(Graph(n, edges), tuple(classes))
     A = tuple(range(a_keep))
     C = tuple(range(neck_size, neck_size + k + window))
-    return ExtremalOneInstance(host=host, A=A, C=C, spec=spec)
+    return ExtremalOneInstance(host=host, A=A, C=C)
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +213,7 @@ def extremal_two(pattern: Graph, n: int, eta: Rational) -> ExtremalTwoInstance:
     sizes = [neck_share + dip, width_share - dip] + [width_share] * (params.r - 2)
     if sizes[1] < 1:
         raise ValueError(f"omega*n/h - floor(eta*n) - 1 = {sizes[1]} must be >= 1")
+    check_order(n)
 
     classes = []
     start = 0
@@ -464,28 +446,6 @@ def _sigma_first_classes(pattern: Graph, params: TilingParams) -> list[list[int]
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HStarSpec:
-    """A pattern plus a relaxed class-size parameter sigma' = a/b.
-
-    sigma(H) <= sigma' <= h/r; the scale factor is
-    t = b (r-1) (omega(H) - sigma(H)), making the bottle with neck sigma'*t
-    and width omega'*t integral whenever omega(H) is an integer.
-    """
-
-    pattern: Graph
-    sigma_prime: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_prime", Fraction(self.sigma_prime))
-
-    def scale(self, params: TilingParams) -> int:
-        b = self.sigma_prime.denominator
-        return _exact_int(
-            b * (params.r - 1) * (params.omega - params.sigma), "t"
-        )
-
-
-@dataclass(frozen=True)
 class HStarResult:
     hstar: PartitionedGraph
     tiling: Tiling
@@ -493,8 +453,12 @@ class HStarResult:
     companion_count: int
 
 
-def build_hstar(spec: HStarSpec) -> HStarResult:
+def build_hstar(pattern: Graph, sigma_prime: Rational) -> HStarResult:
     """Bottle graph with neck sigma'*t that the pattern tiles perfectly.
+
+    sigma(H) <= sigma' = a/b <= h/r, and the scale factor
+    t = b (r-1) (omega(H) - sigma(H)) makes the bottle with neck sigma'*t
+    and width omega'*t integral whenever omega(H) is an integer.
 
     Phase one places b(r-1)(omega - sigma') direct copies, each with its
     smallest colour class in the neck and one width-sized class per width
@@ -507,10 +471,9 @@ def build_hstar(spec: HStarSpec) -> HStarResult:
     (sigma, omega, ..., omega); patterns without one (in particular patterns
     with fractional omega) are rejected.
     """
-    pattern = spec.pattern
     params = chromatic_data(pattern)
     h, r, sigma = params.h, params.r, params.sigma
-    sp = spec.sigma_prime
+    sp = Fraction(sigma_prime)
     if not sigma <= sp <= Fraction(h, r):
         raise ValueError(f"sigma' must lie in [{sigma}, {h}/{r}]")
     if params.omega == sigma:
@@ -522,7 +485,7 @@ def build_hstar(spec: HStarSpec) -> HStarResult:
         )
     omega = int(params.omega)
     b = sp.denominator
-    t = spec.scale(params)
+    t = b * (r - 1) * (omega - sigma)
     neck = _exact_int(sp * t, "sigma'*t")
     width = _exact_int((h - sp) * t / (r - 1), "omega'*t")
     hstar = bottle_graph(r, neck, width)

@@ -6,8 +6,9 @@ finders are exact: eligibility is decided per (vertex, copy) pair straight
 from the definition, and realizability of a full set reduces to maximum
 bipartite matching, so `none` really means no such set exists.
 
-The remaining gadgets are the greedy clique extraction and the exact
-epsilon-regularity check on small sides.
+The remaining gadgets are the greedy clique extraction, which takes the
+bottle shape (r, sigma, omega) and the slack eta as plain arguments, and
+the exact epsilon-regularity check on small sides.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .graphs import (
 __all__ = [
     "ExpandingSet",
     "GreedyFailure",
-    "GreedyKrParams",
     "RegularityResult",
     "RegularityWitness",
     "SwappingSet",
@@ -231,6 +231,8 @@ def find_swapping_set(
         raise ValueError("size must be >= 1")
     if k < 0:
         raise ValueError("k must be >= 0")
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     copies = T.embeddings
     images = [_class_images(emb) for emb in copies]
     # neck sigma*m, widths omega*m -> adjacency thresholds (sigma, omega)
@@ -292,49 +294,36 @@ def check_swapping_set(G: Graph, T: Tiling, ss: SwappingSet) -> ValidationReport
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class GreedyKrParams:
-    """Bottle-shape parameters driving the greedy clique extraction."""
-
-    r: int
-    sigma: int
-    omega: int
-    eta: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eta", Fraction(self.eta))
-        if self.r < 2:
-            raise ValueError("need r >= 2")
-        if not 1 <= self.sigma <= self.omega:
-            raise ValueError("need 1 <= sigma <= omega")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-
-    @property
-    def b(self) -> int:
-        return self.sigma + (self.r - 1) * self.omega
-
-
-@dataclass(frozen=True)
 class GreedyFailure:
     step: int
     neighborhood_size: int
 
 
-def greedy_kr(R: Graph, params: GreedyKrParams) -> Union[Embedding, GreedyFailure]:
+def greedy_kr(
+    R: Graph, r: int, sigma: int, omega: int, eta: Rational
+) -> Union[Embedding, GreedyFailure]:
     """Greedy K_r in R: high-degree picks inside a shrinking neighborhood.
 
     Steps 1..r-1 pick a vertex of the running common neighborhood with
-    degree at least k - (omega/b) k + eta k / 3 (k = |R|), preferring
-    higher degree and breaking ties toward smaller labels; step r takes any
-    remaining common neighbour.  Failure reports the first step whose
-    qualifying set is empty, with the neighborhood size at that moment.
+    degree at least k - (omega/b) k + eta k / 3 (k = |R|, b = sigma +
+    (r-1) omega), preferring higher degree and breaking ties toward smaller
+    labels; step r takes any remaining common neighbour.  Failure reports
+    the first step whose qualifying set is empty, with the neighborhood size
+    at that moment.
     """
+    if r < 2:
+        raise ValueError("need r >= 2")
+    if not 1 <= sigma <= omega:
+        raise ValueError("need 1 <= sigma <= omega")
+    eta = Fraction(eta)
+    if eta <= 0:
+        raise ValueError("eta must be positive")
     k = R.n
-    floor_val = k - Fraction(params.omega, params.b) * k + params.eta * k / 3
+    floor_val = k - Fraction(omega, sigma + (r - 1) * omega) * k + eta * k / 3
     common = set(range(k))
     picks = []
-    for step in range(1, params.r + 1):
-        if step < params.r:
+    for step in range(1, r + 1):
+        if step < r:
             cands = [v for v in common if R.degree(v) >= floor_val]
         else:
             cands = list(common)
@@ -343,7 +332,7 @@ def greedy_kr(R: Graph, params: GreedyKrParams) -> Union[Embedding, GreedyFailur
         x = max(cands, key=lambda v: (R.degree(v), -v))
         picks.append(x)
         common &= set(iter_bits(R.rows[x]))
-    kr = Graph(params.r, list(combinations(range(params.r), 2)))
+    kr = Graph(r, list(combinations(range(r), 2)))
     return Embedding(kr, tuple(picks))
 
 

@@ -24,8 +24,7 @@ class Graph:
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if not 0 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
+        check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -51,9 +50,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [r.bit_count() for r in self.rows]
 
-    def neighbors(self, u: int) -> Iterator[int]:
-        return iter_bits(self.rows[u])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             for v in iter_bits(self.rows[u] >> (u + 1) << (u + 1)):
@@ -63,9 +59,6 @@ class Graph:
         return sum(r.bit_count() for r in self.rows) // 2
 
     # -- derived graphs -----------------------------------------------------
-
-    def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, list(self.edges()) + list(extra))
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
@@ -95,6 +88,13 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"
+
+
+def check_order(n: int) -> None:
+    """ValueError unless a graph may have n vertices; constructors call it
+    before they list any edges."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -242,10 +242,6 @@ class VertexOrdering:
         """1-based rank of v in the ordering."""
         return self._pos[v]
 
-    def check_degrees(self, g: Graph) -> bool:
-        degs = [g.degree(v) for v in self.order]
-        return all(a <= b for a, b in zip(degs, degs[1:]))
-
     def __len__(self) -> int:
         return len(self.order)
 
@@ -262,6 +258,7 @@ def complete_multipartite(class_sizes: list[int]) -> PartitionedGraph:
     if any(s <= 0 for s in class_sizes):
         raise ValueError(f"class sizes must be positive, got {class_sizes}")
     n = sum(class_sizes)
+    check_order(n)
     classes = []
     start = 0
     for s in class_sizes:
@@ -292,10 +289,12 @@ def bottle_shape(sizes: Sequence[int], m: int = 1) -> tuple[int, int, int]:
     """(r, sigma, omega) of the bottle graph bottle_graph(r, sigma*m, omega*m)
     with these class sizes, neck first; the inverse of :func:`bottle_graph`.
 
-    Raises ValueError unless there are at least two classes, the width
-    classes share one size, the neck is no wider than them and m divides
-    both sizes.
+    Raises ValueError unless m >= 1, there are at least two classes, the
+    width classes share one size, the neck is no wider than them and m
+    divides both sizes.
     """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
     if len(sizes) < 2:
         raise ValueError("bottle graphs need at least two classes")
     neck, width = sizes[0], sizes[1]
@@ -361,7 +360,7 @@ def multipartite_classes(g: Graph) -> Optional[list[tuple[int, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# I/O: edge-list and graph6
+# I/O: edge lists in and out, graph6 in
 # ---------------------------------------------------------------------------
 
 
@@ -408,30 +407,6 @@ def emit_edge_list(g: Graph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
-
-
-def _g6_size_bytes(n: int) -> list[int]:
-    if n <= 62:
-        return [n + 63]
-    if n <= 258047:
-        return [126, (n >> 12) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
-    raise ValueError(f"graph6 encoding here limited to n <= 258047, got {n}")
-
-
-def graph6_encode(g: Graph) -> str:
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = _g6_size_bytes(g.n)
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = val << 1 | b
-        out.append(val + 63)
-    return "".join(chr(c) for c in out)
 
 
 def graph6_decode(s: str) -> Graph:

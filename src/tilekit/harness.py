@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .constructions import (
-    ExtremalOneSpec,
     dip_exclusion_witness,
     extremal_one,
     extremal_three,
@@ -31,6 +30,7 @@ from .graphs import (
     PartitionedGraph,
     Tiling,
     bottle_graph,
+    check_order,
     complete_multipartite,
 )
 from .solver import (
@@ -119,7 +119,6 @@ class InstanceRecord:
 class ExperimentReport:
     experiment: str
     records: tuple[InstanceRecord, ...]
-    rng_algorithm: str = RNG_ALGORITHM
 
     @property
     def verdict(self) -> str:
@@ -132,7 +131,7 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "rng": self.rng_algorithm,
+            "rng": RNG_ALGORITHM,
             "verdict": self.verdict,
             "records": [r.to_dict() for r in self.records],
         }
@@ -145,6 +144,7 @@ class ExperimentReport:
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise ValueError("cycles need at least 3 vertices")
+    check_order(k)
     return Graph(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -519,13 +519,13 @@ def _solve_record_details(result) -> dict:
 
 
 def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
-    spec = ExtremalOneSpec(**point)
-    inst = extremal_one(spec)
-    pattern = bottle_graph(spec.r, spec.sigma, spec.omega)
-    misses_required = math.ceil(Fraction(3, 2) * spec.eta * spec.n)
+    inst = extremal_one(**point)
+    pattern = bottle_graph(point["r"], point["sigma"], point["omega"])
+    misses_required = math.ceil(Fraction(3, 2) * point["eta"] * point["n"])
+    label = f"staircase-n{point['n']}-k{point['k']}"
     if inst.host.graph.n > ORACLE_MAX_VERTICES:
         return InstanceRecord(
-            label=f"staircase-n{spec.n}-k{spec.k}",
+            label=label,
             verdict="inconclusive",
             params=point,
             details={"reason": "host too large for the exhaustive oracle"},
@@ -546,7 +546,7 @@ def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
         }
     )
     return InstanceRecord(
-        label=f"staircase-n{spec.n}-k{spec.k}",
+        label=label,
         verdict=verdict,
         params=point,
         details=details,

@@ -91,17 +91,12 @@ class CopyCatalog:
     downstream optimality claims must be downgraded.
     """
 
-    host: Graph
-    pattern: Graph
     pattern_classes: Optional[tuple[tuple[int, ...], ...]]
     copies: tuple[Embedding, ...]
     truncated: bool = False
 
     def __len__(self) -> int:
         return len(self.copies)
-
-    def image_sets(self) -> list[frozenset[int]]:
-        return [emb.image_set for emb in self.copies]
 
 
 def _automorphism_extends(pattern: Graph, fixed: Sequence[tuple[int, int]]) -> bool:
@@ -315,8 +310,6 @@ def enumerate_copies(
             break
         copies.append(Embedding(pg, image, pcls))
     return CopyCatalog(
-        host=host,
-        pattern=pg,
         pattern_classes=pcls,
         copies=tuple(copies),
         truncated=truncated,

@@ -36,7 +36,6 @@ from _oracles import (
     swapping_set_exists,
 )
 from tilekit.constructions import (
-    HStarSpec,
     LEMMA62_TARGETS,
     build_h1,
     build_hstar,
@@ -248,7 +247,7 @@ def test_6_constructive_tilings_validate():
                 perfect = len(res.tiling.covered) == res.host.graph.n
                 if not (valid and perfect):
                     failures.append((target, shape, m))
-    hs = build_hstar(HStarSpec(cycle_graph(5), Fraction(3, 2)))
+    hs = build_hstar(cycle_graph(5), Fraction(3, 2))
     if not (
         sorted(len(c) for c in hs.hstar.classes) == [6, 7, 7]
         and is_valid_tiling(hs.hstar.graph, hs.tiling).ok

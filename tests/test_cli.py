@@ -76,6 +76,24 @@ def test_unknown_pattern_name_fails_cleanly(capsys):
     assert "unrecognized pattern name" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thresholds", "--pattern", "K_{500000,500000}"],
+        ["thresholds", "--pattern", "C_50000000"],
+        ["verify", "--family", "ex3", "--grid",
+         '[{"pattern": "K3", "n": 999999, "x": "1/3", "eta": "1/999999"}]'],
+    ],
+    ids=["pattern-name", "cycle-name", "verify-ex3"],
+)
+def test_oversized_hosts_exit_1_at_once(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: vertex count ")
+    assert err.endswith(" outside [0, 4096]\n")
+
+
 # ---------------------------------------------------------------------------
 # construct
 # ---------------------------------------------------------------------------
@@ -287,6 +305,49 @@ def test_gadgets_reject_a_tiling_not_in_the_host(capsys, tmp_path, host, embeddi
     assert err == f"error: tiling is not in the host: {violation}\n"
 
 
+K3_TILING = {
+    "pattern": {"n": 3, "edges": [[0, 1], [1, 2], [2, 0]], "classes": [[0], [1], [2]]},
+    "embeddings": [[0, 1, 2]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("n", "3", "tiling pattern 'n': not an integer: '3'"),
+        ("embeddings", [["a", 1, 2]], "tiling 'embeddings': not a list of integers: ['a', 1, 2]"),
+        ("classes", 5, "tiling pattern 'classes': not a list: 5"),
+        ("edges", [[0, 1, 2]], "tiling pattern 'edges': not a vertex pair: [0, 1, 2]"),
+    ],
+    ids=["n-string", "embedding-vertex-string", "classes-number", "edge-triple"],
+)
+def test_malformed_tiling_values_name_the_key(capsys, tmp_path, key, value, message):
+    data = json.loads(json.dumps(K3_TILING))
+    (data if key == "embeddings" else data["pattern"])[key] = value
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(json.dumps(data))
+    code, out, err = run(
+        capsys, "gadgets", "--find", "expand", "--host", "K3", "--tiling", str(tiling),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("embeddings", [[[0, 1, 2]], []], ids=["one-copy", "no-copy"])
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_gadgets_swap_needs_a_positive_m(capsys, tmp_path, m, embeddings):
+    tiling = tmp_path / "tiling.json"
+    tiling.write_text(json.dumps({**K3_TILING, "embeddings": embeddings}))
+    code, out, err = run(
+        capsys, "gadgets", "--find", "swap", "--host", "K4", "--tiling", str(tiling),
+        "--m", m,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: m must be >= 1, got {m}\n"
+
+
 # ---------------------------------------------------------------------------
 # verify and sweep
 # ---------------------------------------------------------------------------
@@ -408,21 +469,42 @@ def _tiling_without_embeddings(tmp_path) -> str:
     return str(path)
 
 
+def test_internal_errors_exit_3_not_fail(capsys, monkeypatch):
+    # a fault inside tilekit, here a stand-in raised where a verb computes
+    def broken(pattern):
+        raise RuntimeError("stand-in fault")
+
+    monkeypatch.setattr("tilekit.cli.chromatic_data", broken)
+    code, out, err = run(capsys, "thresholds", "--pattern", "C5")
+    assert code == 3
+    assert out == ""
+    assert err == "error: RuntimeError: stand-in fault\n"
+
+
 @pytest.mark.parametrize(
-    "argv, error",
+    "argv, message",
     [
         (
             lambda tmp: ["solve", "--host", str(tmp), "--pattern", "K3"],
-            "IsADirectoryError",
+            "[Errno 21] Is a directory: ",
+        ),
+        (
+            lambda tmp: ["gadgets", "--find", "expand", "--host", "K3",
+                         "--tiling", str(tmp / "missing.json")],
+            "[Errno 2] No such file or directory: ",
+        ),
+        (
+            lambda tmp: ["verify", "--family", "ex3", "--grid", f"@{tmp / 'missing.json'}"],
+            "[Errno 2] No such file or directory: ",
         ),
     ],
-    ids=["host-is-a-directory"],
+    ids=["host-is-a-directory", "missing-tiling", "missing-grid"],
 )
-def test_internal_errors_exit_3_not_fail(capsys, tmp_path, argv, error):
+def test_unreadable_input_files_exit_1(capsys, tmp_path, argv, message):
     code, out, err = run(capsys, *argv(tmp_path))
-    assert code == 3
+    assert code == 1
     assert out == ""
-    assert err.startswith(f"error: {error}: ")
+    assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1
 
 

@@ -14,8 +14,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tilekit.constructions import (
-    ExtremalOneSpec,
-    HStarSpec,
     build_h1,
     build_hstar,
     dip_exclusion_witness,
@@ -24,7 +22,13 @@ from tilekit.constructions import (
     extremal_two,
     lemma62_perfect_tiling,
 )
-from tilekit.graphs import Graph, bottle_graph, complete_multipartite, is_valid_tiling
+from tilekit.graphs import (
+    Graph,
+    bottle_graph,
+    complete_multipartite,
+    is_valid_tiling,
+    iter_bits,
+)
 from tilekit.solver import max_tiling
 
 PROPERTY_SETTINGS = settings(
@@ -42,11 +46,11 @@ K4 = complete_multipartite([1, 1, 1, 1]).graph
 # family 1: the staircase window
 # ---------------------------------------------------------------------------
 
-EX1_SPEC = ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
+EX1_PARAMS = dict(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
 
 
 def test_extremal_one_frozen_degree_list():
-    inst = extremal_one(EX1_SPEC)
+    inst = extremal_one(**EX1_PARAMS)
     assert sorted(inst.host.graph.degrees()) == [
         1, 1, 1, 1, 3, 3, 4, 4, 5, 5, 6, 8, 10, 10, 14,
     ]
@@ -56,9 +60,9 @@ def test_extremal_one_frozen_degree_list():
 
 def test_extremal_one_window_rows_flatten():
     # rows k .. k + 2*eta*n of the staircase all keep the same degree
-    inst = extremal_one(EX1_SPEC)
+    inst = extremal_one(**EX1_PARAMS)
     neck = len(inst.host.classes[0])
-    k, window = EX1_SPEC.k, 2
+    k, window = EX1_PARAMS["k"], 2
     row_degree = {
         i: inst.host.graph.degree(neck + i - 1) for i in range(k, k + window + 1)
     }
@@ -66,7 +70,7 @@ def test_extremal_one_window_rows_flatten():
 
 
 def test_extremal_one_c_structure():
-    inst = extremal_one(EX1_SPEC)
+    inst = extremal_one(**EX1_PARAMS)
     g = inst.host.graph
     blocked = set(inst.host.classes[0]) - set(inst.A)
     for u in inst.C:
@@ -78,26 +82,26 @@ def test_extremal_one_c_structure():
 
 def test_extremal_one_copies_through_c_must_use_a():
     # any pattern copy meeting C spends a vertex inside A, so |A| caps them
-    inst = extremal_one(EX1_SPEC)
+    inst = extremal_one(**EX1_PARAMS)
     g = inst.host.graph
     for u in inst.C:
-        outside_v2 = [w for w in g.neighbors(u) if w not in inst.host.classes[1]]
+        outside_v2 = [w for w in iter_bits(g.rows[u]) if w not in inst.host.classes[1]]
         assert set(outside_v2) <= set(inst.A)
 
 
 def test_extremal_one_validation():
     with pytest.raises(ValueError, match="divide"):
-        extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=16, eta=Fraction(1, 16), k=2))
+        extremal_one(r=2, sigma=1, omega=2, n=16, eta=Fraction(1, 16), k=2)
     with pytest.raises(ValueError, match="not an integer"):
-        extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 7), k=2))
+        extremal_one(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 7), k=2)
     with pytest.raises(ValueError, match="1 <= sigma <= omega"):
-        extremal_one(ExtremalOneSpec(r=2, sigma=3, omega=2, n=15, eta=Fraction(1, 15), k=2))
+        extremal_one(r=2, sigma=3, omega=2, n=15, eta=Fraction(1, 15), k=2)
     with pytest.raises(ValueError, match="k must satisfy"):
-        extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=9))
+        extremal_one(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=9)
     # a window of width 2 eta n <= 0 leaves C empty, and ex1 would pass vacuously
     for eta in (Fraction(-1, 15), Fraction(0)):
         with pytest.raises(ValueError, match="eta must be positive"):
-            extremal_one(ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=eta, k=2))
+            extremal_one(r=2, sigma=1, omega=2, n=15, eta=eta, k=2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +147,7 @@ def test_extremal_two_dip_is_exactly_blocked_from_one_class():
     g = inst.host.graph
     class_two = set(inst.host.classes[1])
     for v in inst.v_prime:
-        assert class_two.isdisjoint(g.neighbors(v))
+        assert class_two.isdisjoint(iter_bits(g.rows[v]))
 
 
 def test_extremal_two_validation():
@@ -260,7 +264,7 @@ def test_lemma62_random_bottles(target: str, r: int, sigma: int, extra: int):
             ((0, 1), (2, 3, 4, 5), (6, 7, 8, 9)),
         ),
         (
-            lambda: build_hstar(HStarSpec(C5, Fraction(3, 2))).tiling,
+            lambda: build_hstar(C5, Fraction(3, 2)).tiling,
             [(0, 6, 13, 7, 14), (1, 8, 15, 9, 16), (10, 2, 17, 3, 18), (19, 11, 4, 12, 5)],
             None,
         ),
@@ -284,7 +288,7 @@ def test_placed_images_are_pinned(build, images, classes):
 
 
 def test_hstar_c5_with_fractional_neck():
-    result = build_hstar(HStarSpec(C5, Fraction(3, 2)))
+    result = build_hstar(C5, Fraction(3, 2))
     assert result.hstar.class_sizes() == (6, 7, 7)
     assert result.direct_count == 2
     assert result.companion_count == 1
@@ -294,7 +298,7 @@ def test_hstar_c5_with_fractional_neck():
 
 
 def test_hstar_at_sigma_is_all_direct():
-    result = build_hstar(HStarSpec(C5, 1))
+    result = build_hstar(C5, 1)
     assert result.companion_count == 0
     assert result.direct_count == len(result.tiling)
     assert len(result.tiling.covered) == result.hstar.graph.n
@@ -302,7 +306,7 @@ def test_hstar_at_sigma_is_all_direct():
 
 def test_hstar_at_top_of_range():
     # sigma' = h/r makes the host balanced
-    result = build_hstar(HStarSpec(C5, Fraction(5, 3)))
+    result = build_hstar(C5, Fraction(5, 3))
     sizes = set(result.hstar.class_sizes())
     assert len(sizes) == 1
     assert is_valid_tiling(result.hstar.graph, result.tiling)
@@ -311,13 +315,13 @@ def test_hstar_at_top_of_range():
 
 def test_hstar_rejections():
     with pytest.raises(ValueError, match="fractional"):
-        build_hstar(HStarSpec(complete_multipartite([1, 2, 3]).graph, Fraction(3, 2)))
+        build_hstar(complete_multipartite([1, 2, 3]).graph, Fraction(3, 2))
     with pytest.raises(ValueError, match="no proper colouring"):
-        build_hstar(HStarSpec(complete_multipartite([1, 2, 4]).graph, Fraction(3, 2)))
+        build_hstar(complete_multipartite([1, 2, 4]).graph, Fraction(3, 2))
     with pytest.raises(ValueError, match="t = 0"):
-        build_hstar(HStarSpec(K3, 1))
+        build_hstar(K3, 1)
     with pytest.raises(ValueError, match="sigma'"):
-        build_hstar(HStarSpec(C5, 2))
+        build_hstar(C5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +363,26 @@ def test_h1_neck_is_exactly_filled():
 def test_h1_domain():
     with pytest.raises(ValueError, match="strictly inside"):
         build_h1(K3, 1)
+
+
+# ---------------------------------------------------------------------------
+# hosts above the vertex limit
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: extremal_one(r=2, sigma=1, omega=2, n=999_999, eta=Fraction(1, 999_999), k=2),
+        lambda: extremal_two(C5, 1_000_000, Fraction(1, 20)),
+        lambda: extremal_three(K3, 999_999, Fraction(1, 3), Fraction(1, 999_999)),
+        lambda: lemma62_perfect_tiling("Kr", bottle_graph(3, 1, 2), 66_667),
+        lambda: build_h1(K3, Fraction(1, 500_000)),
+        lambda: build_hstar(C5, Fraction(400_001, 400_000)),
+    ],
+    ids=["ex1", "ex2", "ex3", "lemma62", "h1", "hstar"],
+)
+def test_oversized_constructions_are_rejected_before_their_edges(build):
+    # orders near a million: listing the edges first would take minutes and GBs
+    with pytest.raises(ValueError, match=r"vertex count \d+ outside \[0, 4096\]"):
+        build()

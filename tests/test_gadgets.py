@@ -23,7 +23,6 @@ from _oracles import (
 from tilekit.gadgets import (
     ExpandingSet,
     GreedyFailure,
-    GreedyKrParams,
     SwappingSet,
     check_expanding_set,
     check_swapping_set,
@@ -38,6 +37,7 @@ from tilekit.graphs import (
     Tiling,
     VertexOrdering,
     complete_multipartite,
+    iter_bits,
 )
 from tilekit.harness import random_tiling_instance
 
@@ -58,19 +58,18 @@ def k3_copy(u: int, v: int, w: int) -> Embedding:
 
 
 # ---------------------------------------------------------------------------
-# parameter bundles
+# parameter checks
 # ---------------------------------------------------------------------------
 
 
 def test_greedy_params_validation():
-    params = GreedyKrParams(r=3, sigma=1, omega=2, eta=Fraction(1, 10))
-    assert params.b == 5
-    with pytest.raises(ValueError):
-        GreedyKrParams(r=1, sigma=1, omega=1, eta=Fraction(1, 10))
-    with pytest.raises(ValueError):
-        GreedyKrParams(r=3, sigma=2, omega=1, eta=Fraction(1, 10))
-    with pytest.raises(ValueError):
-        GreedyKrParams(r=3, sigma=1, omega=1, eta=0)
+    host = complete_multipartite([4, 4, 4]).graph
+    with pytest.raises(ValueError, match="need r >= 2"):
+        greedy_kr(host, 1, 1, 1, Fraction(1, 10))
+    with pytest.raises(ValueError, match="need 1 <= sigma <= omega"):
+        greedy_kr(host, 3, 2, 1, Fraction(1, 10))
+    with pytest.raises(ValueError, match="eta must be positive"):
+        greedy_kr(host, 3, 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +209,7 @@ def test_swapping_finder_matches_brute_force(seed: int, k: int, size: int):
 
 def test_greedy_succeeds_on_slack_balanced_host():
     host = complete_multipartite([4, 4, 4]).graph
-    params = GreedyKrParams(r=3, sigma=1, omega=2, eta=Fraction(1, 10))
-    result = greedy_kr(host, params)
+    result = greedy_kr(host, 3, 1, 2, Fraction(1, 10))
     assert isinstance(result, Embedding)
     assert result.image == (0, 4, 8)
 
@@ -219,8 +217,7 @@ def test_greedy_succeeds_on_slack_balanced_host():
 def test_greedy_fails_at_step_two_on_a_star():
     # center (vertex 0, degree 11) passes the floor of 8.4; every leaf misses it
     host = complete_multipartite([1, 11]).graph
-    params = GreedyKrParams(r=3, sigma=1, omega=1, eta=Fraction(1, 10))
-    result = greedy_kr(host, params)
+    result = greedy_kr(host, 3, 1, 1, Fraction(1, 10))
     assert isinstance(result, GreedyFailure)
     assert result.step == 2
     assert result.neighborhood_size == 11
@@ -228,8 +225,7 @@ def test_greedy_fails_at_step_two_on_a_star():
 
 def test_greedy_fails_at_step_one_without_slack_room():
     host = complete_multipartite([6, 6]).graph
-    params = GreedyKrParams(r=2, sigma=1, omega=1, eta=Fraction(1, 10))
-    result = greedy_kr(host, params)
+    result = greedy_kr(host, 2, 1, 1, Fraction(1, 10))
     assert isinstance(result, GreedyFailure)
     assert result.step == 1
     assert result.neighborhood_size == 12
@@ -238,8 +234,7 @@ def test_greedy_fails_at_step_one_without_slack_room():
 def test_greedy_last_step_takes_any_common_neighbor():
     # K2 target: step 2 has no degree floor
     host = complete_multipartite([1, 11]).graph
-    params = GreedyKrParams(r=2, sigma=1, omega=1, eta=Fraction(1, 10))
-    result = greedy_kr(host, params)
+    result = greedy_kr(host, 2, 1, 1, Fraction(1, 10))
     assert isinstance(result, Embedding)
 
 
@@ -252,8 +247,8 @@ def test_greedy_last_step_takes_any_common_neighbor():
 def test_greedy_outcome_is_sound(n: int, raw_edges: list, r: int):
     edges = [(u % n, v % n) for u, v in raw_edges if u % n != v % n]
     host = Graph(n, edges)
-    params = GreedyKrParams(r=r, sigma=1, omega=2, eta=Fraction(1, 10))
-    result = greedy_kr(host, params)
+    sigma, omega, eta = 1, 2, Fraction(1, 10)
+    result = greedy_kr(host, r, sigma, omega, eta)
     if isinstance(result, GreedyFailure):
         assert 1 <= result.step <= r
         return
@@ -266,8 +261,8 @@ def test_greedy_outcome_is_sound(n: int, raw_edges: list, r: int):
     k = host.n
     common = set(range(k))
     for i, x in enumerate(picks[:-1], start=1):
-        bound = k - Fraction(i * params.omega, params.b) * k + i * params.eta * k / 3
-        common &= set(host.neighbors(x))
+        bound = k - Fraction(i * omega, sigma + (r - 1) * omega) * k + i * eta * k / 3
+        common &= set(iter_bits(host.rows[x]))
         assert len(common) >= bound
 
 

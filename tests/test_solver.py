@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from _oracles import assignment_max_cover, assignment_max_cover_overlap, reference_copies
 from tilekit import solver
 from tilekit.constructions import (
-    ExtremalOneSpec,
     extremal_one,
     extremal_three,
     extremal_two,
@@ -73,7 +72,7 @@ def test_triangles_in_k4():
     cat = enumerate_copies(complete_multipartite([1] * 4).graph, K3)
     assert len(cat) == 4
     assert not cat.truncated
-    assert cat.image_sets() == [
+    assert [emb.image_set for emb in cat.copies] == [
         frozenset(s) for s in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     ]
 
@@ -441,7 +440,7 @@ def test_adding_edges_never_hurts_coverage():
         missing = [e for e in possible if e not in set(edges)]
         if not missing:
             continue
-        host2 = host.with_edges([rng.choice(missing)])
+        host2 = Graph(n, edges + [rng.choice(missing)])
         after = max_tiling(host2, [K3, K2]).covered_count
         assert after >= before
 
@@ -538,9 +537,7 @@ def test_oracle_overlap_matches_lexicographic_brute_force(host: Graph, patterns,
 
 BOTTLE_212 = bottle_graph(2, 1, 2)
 # the default ex1 grid point of `tilekit verify --family ex1`
-EX1_DEFAULT = extremal_one(
-    ExtremalOneSpec(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
-)
+EX1_DEFAULT = extremal_one(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
 ORACLE_PINS = {
     # name: (host, patterns, maximize_overlap), (images, covered_count, nodes)
     "c5-n14": (
