@@ -318,7 +318,6 @@ def cmd_gadgets(args) -> int:
     valid = is_valid_tiling(host, tiling)
     if not valid:
         raise ValueError(f"tiling is not in the host: {valid.violation}")
-    ordering = VertexOrdering.by_degree(host)
     if args.find == "expand":
         found = find_expanding_set(host, tiling, args.size)
         if found is None:
@@ -334,7 +333,7 @@ def cmd_gadgets(args) -> int:
         return EXIT_PASS
     # swap
     found = find_swapping_set(
-        host, tiling, ordering, args.offset, args.size, m=args.m
+        host, tiling, VertexOrdering.by_degree(host), args.offset, args.size, m=args.m
     )
     if found is None:
         _emit({"found": False, "size": args.size, "offset": args.offset})

@@ -20,8 +20,9 @@ chosen host class; a construction is its list of target classes per copy.
 Every constructor takes its parameters as plain arguments, named as the
 ``tilekit construct --params`` keys, validates its divisibility
 preconditions eagerly and names the violated constraint, and checks the
-host order against ``MAX_VERTICES`` before it lists an edge; rounding only
-happens where a ceiling or floor is part of the defining formula.
+host order against ``MAX_VERTICES`` before it builds a row; rounding only
+happens where a ceiling or floor is part of the defining formula.  Hosts
+are built row by row from class bitmasks, never from edge lists.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .graphs import (
     Graph,
     PartitionedGraph,
     Tiling,
+    _multipartite_rows,
     bottle_graph,
     bottle_shape,
     check_order,
@@ -123,34 +125,26 @@ def extremal_one(
         )
     check_order(n)
 
-    # vertex layout: V_1 = [0, neck_size), V_2 the next width_size, and so on
-    classes = [tuple(range(neck_size))]
-    start = neck_size
-    for _ in range(r - 1):
-        classes.append(tuple(range(start, start + width_size)))
-        start += width_size
-
-    edges = []
-    v2_lo, v2_hi = neck_size, neck_size + width_size
-    for u in range(neck_size):
-        for v in range(u + 1, n):
-            if v2_lo <= v < v2_hi:
-                continue
-            edges.append((u, v))
-    for ci in range(1, r):
-        for cj in range(ci + 1, r):
-            edges.extend((u, v) for u in classes[ci] for v in classes[cj])
-
+    # vertex layout: V_1 = [0, neck_size), V_2 the next width_size, and so
+    # on; V_3 ... V_r keep their complete multipartite rows
+    classes, masks, rows = _multipartite_rows([neck_size] + [width_size] * (r - 1))
+    rest = ((1 << n) - 1) & ~masks[0] & ~masks[1]  # V_3 ... V_r
+    # staircase row i (vertex neck_size + i - 1) sees the first lim of V_1;
+    # reach[j] collects the rows with lim == j
     a_keep = math.ceil(Fraction(sigma * k, omega))
+    reach = [0] * (neck_size + 1)
     for i in range(1, width_size + 1):
-        top = math.ceil(Fraction(sigma * i, omega))
-        in_window = k + 1 <= i <= k + window
-        for j in range(1, top + 1):
-            if in_window and j > a_keep:
-                continue
-            edges.append((j - 1, neck_size + i - 1))
+        lim = math.ceil(Fraction(sigma * i, omega))
+        if k + 1 <= i <= k + window:
+            lim = min(lim, a_keep)
+        reach[lim] |= 1 << (neck_size + i - 1)
+        rows[neck_size + i - 1] = rest | ((1 << lim) - 1)
+    seen = 0
+    for u in range(neck_size - 1, -1, -1):
+        seen |= reach[u + 1]  # rows with lim > u see vertex u
+        rows[u] = (masks[0] & ~(1 << u)) | rest | seen
 
-    host = PartitionedGraph(Graph(n, edges), tuple(classes))
+    host = PartitionedGraph(Graph._from_rows(rows), classes)
     A = tuple(range(a_keep))
     C = tuple(range(neck_size, neck_size + k + window))
     return ExtremalOneInstance(host=host, A=A, C=C)
@@ -215,21 +209,14 @@ def extremal_two(pattern: Graph, n: int, eta: Rational) -> ExtremalTwoInstance:
         raise ValueError(f"omega*n/h - floor(eta*n) - 1 = {sizes[1]} must be >= 1")
     check_order(n)
 
-    classes = []
-    start = 0
-    for s in sizes:
-        classes.append(tuple(range(start, start + s)))
-        start += s
+    classes, masks, rows = _multipartite_rows(sizes)
     v_prime = classes[0][:dip]
-    blocked = set(v_prime)
-    edges = []
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1 :]:
-            for u in ci:
-                if i == 0 and cj is classes[1] and u in blocked:
-                    continue
-                edges.extend((u, v) for v in cj)
-    host = PartitionedGraph(Graph(n, edges), tuple(classes))
+    blocked = (1 << dip) - 1  # V' is the start of class one, at label 0
+    for u in v_prime:
+        rows[u] &= ~masks[1]
+    for v in classes[1]:
+        rows[v] &= ~blocked
+    host = PartitionedGraph(Graph._from_rows(rows), classes)
     return ExtremalTwoInstance(host=host, v_prime=v_prime)
 
 

@@ -3,6 +3,15 @@
 Vertices are always 0..n-1. Adjacency is kept as one int bitmask per vertex,
 which makes neighborhood intersection a single `&` and keeps every structure
 hashable and immutable after construction.
+
+``Graph(n, edges)`` is the validated entry point for edges from outside the
+package (parsers, tiling files, user code): it checks the order, the range
+of every endpoint and self-loops. The package's own constructors of dense
+hosts (complete multipartite graphs, blow-ups, the extremal families) never
+list their edges: they compute each adjacency row from class bitmasks, so a
+vertex of class C in a complete multipartite graph gets the row
+``full & ~mask(C)``, and an n-vertex host costs O(n) row operations instead
+of O(n^2) pairs.
 """
 
 from __future__ import annotations
@@ -36,6 +45,19 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(rows))
 
+    @classmethod
+    def _from_rows(cls, rows: Iterable[int]) -> "Graph":
+        """Graph on len(rows) vertices with these adjacency rows, unchecked.
+
+        For the package's own constructors, whose rows are symmetric and
+        loop-free by construction; edges from outside go through __init__.
+        """
+        g = cls.__new__(cls)
+        rows = tuple(rows)
+        object.__setattr__(g, "n", len(rows))
+        object.__setattr__(g, "rows", rows)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
@@ -62,12 +84,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        comp = Graph.__new__(Graph)
-        object.__setattr__(comp, "n", self.n)
-        object.__setattr__(
-            comp, "rows", tuple((full & ~r & ~(1 << u)) for u, r in enumerate(self.rows))
-        )
-        return comp
+        return Graph._from_rows(full & ~r & ~(1 << u) for u, r in enumerate(self.rows))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the map new-index -> old vertex."""
@@ -92,7 +109,7 @@ class Graph:
 
 def check_order(n: int) -> None:
     """ValueError unless a graph may have n vertices; constructors call it
-    before they list any edges."""
+    before they build any rows."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
 
@@ -251,24 +268,33 @@ class VertexOrdering:
 # ---------------------------------------------------------------------------
 
 
+def _multipartite_rows(
+    class_sizes: Sequence[int],
+) -> tuple[tuple[tuple[int, ...], ...], list[int], list[int]]:
+    """(classes, masks, rows): classes of these sizes on consecutive labels
+    from 0, their vertex bitmasks, and the rows of the complete multipartite
+    graph on them, full & ~mask(C) for a vertex of class C."""
+    classes, masks, start = [], [], 0
+    for s in class_sizes:
+        classes.append(tuple(range(start, start + s)))
+        masks.append(((1 << s) - 1) << start)
+        start += s
+    full = (1 << start) - 1
+    rows = []
+    for mask, s in zip(masks, class_sizes):
+        rows.extend([full & ~mask] * s)
+    return tuple(classes), masks, rows
+
+
 def complete_multipartite(class_sizes: list[int]) -> PartitionedGraph:
     """Complete multipartite graph; edge iff endpoints in distinct classes."""
     if not class_sizes:
         raise ValueError("class_sizes must be nonempty")
     if any(s <= 0 for s in class_sizes):
         raise ValueError(f"class sizes must be positive, got {class_sizes}")
-    n = sum(class_sizes)
-    check_order(n)
-    classes = []
-    start = 0
-    for s in class_sizes:
-        classes.append(tuple(range(start, start + s)))
-        start += s
-    edges = []
-    for i, ci in enumerate(classes):
-        for cj in classes[i + 1 :]:
-            edges.extend((u, v) for u in ci for v in cj)
-    return PartitionedGraph(Graph(n, edges), tuple(classes))
+    check_order(sum(class_sizes))
+    classes, _, rows = _multipartite_rows(class_sizes)
+    return PartitionedGraph(Graph._from_rows(rows), classes)
 
 
 def bottle_graph(r: int, neck: int, width: int) -> PartitionedGraph:
@@ -317,13 +343,15 @@ def blow_up(g: Graph, t: int) -> PartitionedGraph:
         raise ValueError(f"blow-up factor must be >= 1, got {t}")
     if g.n * t > MAX_VERTICES:
         raise ValueError(f"blow-up would have {g.n * t} > {MAX_VERTICES} vertices")
-    edges = []
-    for x, y in g.edges():
-        for i in range(t):
-            for j in range(t):
-                edges.append((x * t + i, y * t + j))
+    block = (1 << t) - 1
+    rows = []
+    for row in g.rows:
+        clone_row = 0
+        for y in iter_bits(row):
+            clone_row |= block << (y * t)
+        rows.extend([clone_row] * t)
     classes = tuple(tuple(range(x * t, (x + 1) * t)) for x in range(g.n))
-    return PartitionedGraph(Graph(g.n * t, edges), classes)
+    return PartitionedGraph(Graph._from_rows(rows), classes)
 
 
 def multipartite_classes(g: Graph) -> Optional[list[tuple[int, ...]]]:

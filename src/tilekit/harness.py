@@ -377,6 +377,7 @@ def random_host(n: int, seed: int, edge_prob: float = 0.5) -> Graph:
     """Erdos-Renyi style host; identical (n, seed, p) gives identical graphs."""
     if not 0 <= edge_prob <= 1:
         raise ValueError("edge_prob must lie in [0, 1]")
+    check_order(n)
     rng = random.Random(seed)
     edges = [
         (u, v)
@@ -398,8 +399,11 @@ def _multipartite_plus_noise(sizes: Sequence[int], seed: int) -> Graph:
         for i, u in enumerate(cls)
         for v in cls[i + 1 :]
     ]
-    extra = rng.sample(inside, rng.randint(0, len(inside)))
-    return Graph(base.graph.n, list(base.graph.edges()) + extra)
+    rows = list(base.graph.rows)
+    for u, v in rng.sample(inside, rng.randint(0, len(inside))):
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph._from_rows(rows)
 
 
 def random_min_degree_host(r: int, n: int, seed: int) -> Graph:

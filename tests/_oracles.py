@@ -5,8 +5,9 @@ possible enumeration, sharing no code path with tilekit: existence of
 expanding/swapping sets by trying all injections, regularity by walking
 subset pairs with Fraction arithmetic (by size, and in mask order for the
 witness), copy catalogues by trying every vertex subset in lexicographic
-order, and the maximum tiling, with or without the lexicographic overlap
-objective, by recursion over an explicit copy list.
+order, the maximum tiling, with or without the lexicographic overlap
+objective, by recursion over an explicit copy list, and the dense hosts by
+listing every vertex pair that their defining rule joins.
 """
 
 from __future__ import annotations
@@ -255,3 +256,78 @@ def reference_copies(
             return images, True
         images.append(image)
     return images, False
+
+
+def _host_from_rule(sizes: Sequence[int], joined):
+    """(graph, classes) on consecutive classes of these sizes, with an edge
+    u < v exactly when joined(u, v, class of u, class of v)."""
+    where = [i for i, s in enumerate(sizes) for _ in range(s)]
+    classes = tuple(
+        tuple(v for v in range(len(where)) if where[v] == i) for i in range(len(sizes))
+    )
+    pairs = [
+        (u, v)
+        for u, v in combinations(range(len(where)), 2)
+        if joined(u, v, where[u], where[v])
+    ]
+    return Graph(len(where), pairs), classes
+
+
+def reference_complete_multipartite(sizes: Sequence[int]):
+    """Every two vertices of different classes are joined."""
+    return _host_from_rule(sizes, lambda u, v, cu, cv: cu != cv)
+
+
+def reference_blow_up(g: Graph, t: int):
+    """Vertex x*t + i is clone i of x; clones of adjacent vertices are joined."""
+    return _host_from_rule([t] * g.n, lambda u, v, cu, cv: g.has_edge(cu, cv))
+
+
+def reference_extremal_one(r: int, sigma: int, omega: int, n: int, eta: Fraction, k: int):
+    """The staircase host of ex1, pair by pair from its definition.
+
+    V_1 (sigma*n/b vertices a_1, a_2, ...) is a clique joined to V_3..V_r;
+    V_2..V_r (omega*n/b each) are joined to each other; row c_i of V_2 sees
+    a_j for j <= ceil(sigma*i/omega), except in the deletion rectangle
+    k < i <= k + 2*eta*n, ceil(sigma*k/omega) < j <= ceil(sigma*(k + 2*eta*n)/omega).
+    """
+    b = sigma + (r - 1) * omega
+    neck, width = sigma * n // b, omega * n // b
+    window = int(2 * eta * n)
+
+    def ceil_div(a: int, d: int) -> int:
+        return -(-a // d)
+
+    def joined(u: int, v: int, cu: int, cv: int) -> bool:
+        if (cu, cv) == (0, 1):
+            j, i = u + 1, v - neck + 1
+            deleted = (
+                k < i <= k + window
+                and ceil_div(sigma * k, omega) < j <= ceil_div(sigma * (k + window), omega)
+            )
+            return j <= ceil_div(sigma * i, omega) and not deleted
+        if cu == cv:
+            return cu == 0
+        return True
+
+    return _host_from_rule([neck] + [width] * (r - 1), joined)
+
+
+def reference_extremal_two(h: int, r: int, sigma: int, n: int, eta: Fraction):
+    """The dip host of ex2 for a pattern with h vertices, chromatic number r
+    and smallest colour class sigma, or None where a class size would be
+    fractional or below 1.
+
+    Classes sigma*n/h + d, omega*n/h - d and r - 2 of omega*n/h, where
+    omega = (h - sigma)/(r - 1) and d = floor(eta*n) + 1; every two classes
+    are joined, except V' (the first d vertices) and the second class.
+    """
+    omega = Fraction(h - sigma, r - 1)
+    d = int(eta * n) + 1
+    width = omega * n / h
+    if n % h or width.denominator != 1 or width - d < 1:
+        return None
+    sizes = [sigma * n // h + d, int(width) - d] + [int(width)] * (r - 2)
+    return _host_from_rule(
+        sizes, lambda u, v, cu, cv: cu != cv and not (u < d and cv == 1)
+    )

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tilekit.constructions import (
@@ -30,6 +30,8 @@ from tilekit.graphs import (
     iter_bits,
 )
 from tilekit.solver import max_tiling
+
+from _oracles import reference_extremal_one, reference_extremal_two
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -104,6 +106,25 @@ def test_extremal_one_validation():
             extremal_one(r=2, sigma=1, omega=2, n=15, eta=eta, k=2)
 
 
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_extremal_one_matches_the_pair_rule(data):
+    r = data.draw(st.integers(min_value=2, max_value=4), label="r")
+    sigma = data.draw(st.integers(min_value=1, max_value=3), label="sigma")
+    omega = data.draw(st.integers(min_value=sigma, max_value=4), label="omega")
+    b = sigma + (r - 1) * omega
+    n = b * data.draw(st.integers(min_value=1, max_value=4), label="n/b")
+    width = omega * n // b
+    assume(width >= 3)  # room for k >= 1 and a window of 1
+    window = data.draw(st.integers(min_value=1, max_value=width - 2), label="2*eta*n")
+    k = data.draw(st.integers(min_value=1, max_value=width - 1 - window), label="k")
+    eta = Fraction(window, 2 * n)
+    built = extremal_one(r, sigma, omega, n, eta, k)
+    ref, classes = reference_extremal_one(r, sigma, omega, n, eta, k)
+    assert built.host.graph.rows == ref.rows
+    assert built.host.classes == classes
+
+
 # ---------------------------------------------------------------------------
 # family 2: the degree dip
 # ---------------------------------------------------------------------------
@@ -161,6 +182,37 @@ def test_extremal_two_validation():
         extremal_two(C5, 40, Fraction(1, 2))
 
 
+# (pattern, h, r, sigma), worked out by hand
+EX2_PATTERNS = [
+    (C5, 5, 3, 1),
+    (complete_multipartite([1, 2, 2]).graph, 5, 3, 1),
+    (complete_multipartite([1, 2]).graph, 3, 2, 1),
+    (complete_multipartite([2, 3]).graph, 5, 2, 2),
+    (complete_multipartite([1, 1, 2]).graph, 4, 3, 1),
+    (Graph(7, [(i, (i + 1) % 7) for i in range(7)]), 7, 3, 1),
+]
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.sampled_from(EX2_PATTERNS),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=10),
+)
+def test_extremal_two_matches_the_pair_rule(case, q: int, a: int):
+    pattern, h, r, sigma = case
+    n, eta = h * q, Fraction(a, 40)
+    expected = reference_extremal_two(h, r, sigma, n, eta)
+    if expected is None:
+        with pytest.raises(ValueError):
+            extremal_two(pattern, n, eta)
+        return
+    built = extremal_two(pattern, n, eta)
+    ref, classes = expected
+    assert built.host.graph.rows == ref.rows
+    assert built.host.classes == classes
+
+
 # ---------------------------------------------------------------------------
 # family 3: the proportional bottleneck
 # ---------------------------------------------------------------------------
@@ -185,6 +237,15 @@ def test_extremal_three_validation():
         extremal_three(K3, 19, Fraction(1, 3), Fraction(1, 19))
     with pytest.raises(ValueError, match="positive"):
         extremal_three(K3, 18, Fraction(1, 3), Fraction(1, 2))
+
+
+def test_extremal_three_at_paper_scale():
+    # n = 4,095, x*sigma*n/h = 455 moved by eta*n = 1; built in milliseconds
+    host = extremal_three(K3, 4095, Fraction(1, 3), Fraction(1, 4095))
+    assert host.class_sizes() == (454, 1821, 1820)
+    g = host.graph
+    for cls in host.classes:
+        assert all(g.degree(v) == 4095 - len(cls) for v in cls)
 
 
 # ---------------------------------------------------------------------------

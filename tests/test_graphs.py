@@ -26,6 +26,8 @@ from tilekit.graphs import (
     parse_graph,
 )
 
+from _oracles import reference_blow_up, reference_complete_multipartite
+
 PROPERTY_SETTINGS = settings(
     max_examples=120,
     deadline=None,
@@ -253,6 +255,24 @@ def test_complete_multipartite_edges():
     assert g.graph.edge_count() == 6
     assert not g.graph.has_edge(0, 1)
     assert g.graph.has_edge(0, 2)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6))
+def test_complete_multipartite_matches_the_pair_rule(sizes: list[int]):
+    built = complete_multipartite(sizes)
+    ref, classes = reference_complete_multipartite(sizes)
+    assert built.graph.rows == ref.rows
+    assert built.classes == classes
+
+
+@PROPERTY_SETTINGS
+@given(graphs(max_n=7), st.integers(min_value=1, max_value=4))
+def test_blow_up_matches_the_pair_rule(g: Graph, t: int):
+    built = blow_up(g, t)
+    ref, classes = reference_blow_up(g, t)
+    assert built.graph.rows == ref.rows
+    assert built.classes == classes
 
 
 @pytest.mark.parametrize(

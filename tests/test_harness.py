@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tilekit.graphs import Graph, complete_multipartite, graph6_decode, is_valid_tiling
+from tilekit.graphs import complete_multipartite, graph6_decode, is_valid_tiling
 from tilekit.harness import (
     ExperimentReport,
     InstanceRecord,
@@ -151,6 +151,20 @@ def test_random_host_is_reproducible():
     assert random_host(6, 0, edge_prob=0.0).edge_count() == 0
     with pytest.raises(ValueError):
         random_host(5, 0, edge_prob=1.5)
+
+
+def test_random_host_checks_the_order_before_drawing(monkeypatch):
+    # an oversized order must fail by name before n(n-1)/2 pairs are drawn
+    class NoDraws:
+        def __init__(self, seed):
+            pass
+
+        def random(self):
+            raise AssertionError("drew an edge before checking the order")
+
+    monkeypatch.setattr("tilekit.harness.random.Random", NoDraws)
+    with pytest.raises(ValueError, match=r"vertex count 4097 outside \[0, 4096\]"):
+        random_host(4097, 0)
 
 
 def test_random_min_degree_host_meets_bound():

@@ -1,0 +1,46 @@
+"""Source hygiene checks that need no linter."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tilekit").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import and never read; names listed in __all__
+    count as read, and __future__ imports are skipped."""
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # an empty glob would pass vacuously
+    assert {"graphs.py", "cli.py", "_oracles.py"} <= {p.name for p in SOURCES}
+    unused = {}
+    for path in SOURCES:
+        found = _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+        if found:
+            unused[str(path.relative_to(ROOT))] = found
+    assert not unused, f"imported but never used: {unused}"

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from tilekit.graphs import Graph, bottle_graph, complete_multipartite
+from tilekit.graphs import Graph, complete_multipartite
 from tilekit.thresholds import (
     BoundLine,
     TilingParams,
