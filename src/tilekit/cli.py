@@ -378,7 +378,7 @@ def cmd_sweep(args) -> int:
             args.count, seed=args.seed, max_n=args.max_n, budget=args.budget
         )
     else:
-        report = hajnal_szemeredi_suite(args.count, seed=args.seed)
+        report = hajnal_szemeredi_suite(args.count, seed=args.seed, budget=args.budget)
     return _print_report(report, args.json)
 
 

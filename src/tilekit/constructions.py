@@ -43,9 +43,8 @@ from .graphs import (
     check_order,
     complete_multipartite,
     iter_bits,
-    multipartite_classes,
 )
-from .thresholds import TilingParams, chromatic_data, chromatic_number, sigma_coloring
+from .thresholds import _sigma_classes, chromatic_data, chromatic_number
 
 __all__ = [
     "ExtremalOneInstance",
@@ -414,20 +413,6 @@ def _coloring_with_sizes(g: Graph, sizes: Sequence[int]) -> Optional[list[list[i
     return classes
 
 
-def _sigma_first_classes(pattern: Graph, params: TilingParams) -> list[list[int]]:
-    """Colour classes of a sigma-achieving optimal colouring, smallest first."""
-    parts = multipartite_classes(pattern)
-    if parts is not None:
-        return [list(p) for p in parts]  # already sorted smallest-first
-    sigma, colors = sigma_coloring(pattern, params.r)
-    assert sigma == params.sigma
-    classes: list[list[int]] = [[] for _ in range(params.r)]
-    for v, c in enumerate(colors):
-        classes[c].append(v)
-    classes.sort(key=lambda cls: (len(cls), cls[0]))
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # the relaxed-neck bottle graph with its perfect pattern tiling
 # ---------------------------------------------------------------------------
@@ -530,15 +515,14 @@ def build_h1(pattern: Graph, x: Rational) -> H1Result:
     x = Fraction(x)
     if not 0 < x < 1:
         raise ValueError("x must lie strictly inside (0, 1)")
-    params = chromatic_data(pattern)
-    h, r, sigma = params.h, params.r, params.sigma
+    classes = _sigma_classes(pattern)
+    h, r, sigma = pattern.n, len(classes), len(classes[0])
     a, b = x.numerator, x.denominator
     neck = a * (r - 1) * sigma
     width = b * h - a * sigma
     assert neck < width  # a*r*sigma <= a*h < b*h
     h1 = bottle_graph(r, neck, width)
 
-    classes = _sigma_first_classes(pattern, params)
     alloc = _ClassAllocator(h1)
     embeddings = []
     for _ in range(a):

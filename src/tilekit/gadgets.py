@@ -117,7 +117,8 @@ def find_expanding_set(G: Graph, T: Tiling, size: int) -> Optional[ExpandingSet]
         raise ValueError("size must be >= 1")
     copies = T.embeddings
     widths = [_class_images(emb)[1:] for emb in copies]
-    outside = [v for v in range(G.n) if v not in T.covered]
+    covered = T.covered
+    outside = [v for v in range(G.n) if v not in covered]
     adj = []
     for z in outside:
         row = G.rows[z]
@@ -237,7 +238,8 @@ def find_swapping_set(
     images = [_class_images(emb) for emb in copies]
     # neck sigma*m, widths omega*m -> adjacency thresholds (sigma, omega)
     thresholds = [bottle_shape([len(c) for c in cimg], m)[1:] for cimg in images]
-    outside = [v for v in range(G.n) if v not in T.covered]
+    covered = T.covered
+    outside = [v for v in range(G.n) if v not in covered]
     witness: dict[tuple[int, int], int] = {}
     adj = []
     for z in outside:
@@ -262,18 +264,17 @@ def check_swapping_set(G: Graph, T: Tiling, ss: SwappingSet) -> ValidationReport
     if len(set(zs)) != len(zs):
         return ValidationReport(False, "repeated uncovered vertex")
     covered = T.covered
-    omega_vertices = T.omega_class_vertices
     seen_copies = []
     for z, y in ss.pairs:
         if z in covered:
             return ValidationReport(False, f"vertex {z} lies inside the tiling")
-        if y not in omega_vertices:
+        copy = next((emb for emb in T.embeddings if y in emb.image), None)
+        cimg = _class_images(copy) if copy is not None else []
+        if not any(y in wc for wc in cimg[1:]):
             return ValidationReport(False, f"witness {y} is not a width-class vertex")
-        copy = next(emb for emb in T.embeddings if y in emb.image_set)
         if any(copy is c for c in seen_copies):
             return ValidationReport(False, "two pairs share a copy")
         seen_copies.append(copy)
-        cimg = _class_images(copy)
         _, sigma, omega = bottle_shape([len(c) for c in cimg], ss.m)
         if sum(G.has_edge(z, w) for w in cimg[0]) < sigma:
             return ValidationReport(False, f"vertex {z} sees too little of the neck")

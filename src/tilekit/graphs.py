@@ -82,10 +82,6 @@ class Graph:
 
     # -- derived graphs -----------------------------------------------------
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph._from_rows(full & ~r & ~(1 << u) for u, r in enumerate(self.rows))
-
     def induced(self, vertices: Iterable[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph plus the map new-index -> old vertex."""
         vs = tuple(sorted(set(vertices)))
@@ -138,10 +134,6 @@ class PartitionedGraph:
         if seen != set(range(self.graph.n)):
             raise ValueError("classes do not partition the vertex set")
 
-    @property
-    def r(self) -> int:
-        return len(self.classes)
-
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
@@ -159,10 +151,6 @@ class Embedding:
     pattern: Graph
     image: tuple[int, ...]
     pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None
-
-    @property
-    def image_set(self) -> frozenset[int]:
-        return frozenset(self.image)
 
     def violation_in(self, host: Graph) -> Optional[str]:
         """None if this is a valid copy in host, else a description."""
@@ -193,21 +181,6 @@ class Tiling:
         out: set[int] = set()
         for emb in self.embeddings:
             out.update(emb.image)
-        return frozenset(out)
-
-    @property
-    def omega_class_vertices(self) -> frozenset[int]:
-        """Host vertices lying in width classes (pattern classes 1..r-1).
-
-        Only defined when every embedding carries a pattern partition with the
-        neck at class index 0.
-        """
-        out: set[int] = set()
-        for emb in self.embeddings:
-            if emb.pattern_classes is None:
-                raise ValueError("embedding has no pattern class structure")
-            for cls in emb.pattern_classes[1:]:
-                out.update(emb.image[p] for p in cls)
         return frozenset(out)
 
     def __len__(self) -> int:
@@ -358,31 +331,20 @@ def multipartite_classes(g: Graph) -> Optional[list[tuple[int, ...]]]:
     """If g is complete multipartite, return its classes (sorted by size then
     smallest label); otherwise None.
 
-    g is complete multipartite iff its complement is a disjoint union of
-    cliques; the cliques are then the classes and the partition is unique.
+    The parts of a complete multipartite graph are its open-twin classes
+    (vertices with equal rows), so the vertices are grouped by row, and g is
+    complete multipartite exactly when every row is ``full & ~mask(C)`` for
+    the vertex's own class C.
     """
     if g.n == 0:
         return None
-    comp = g.complement()
-    seen = 0
-    classes = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        # component of v in the complement, by BFS
-        frontier = 1 << v
-        member = 0
-        while frontier:
-            member |= frontier
-            nxt = 0
-            for u in iter_bits(frontier):
-                nxt |= comp.rows[u]
-            frontier = nxt & ~member
-        for u in iter_bits(member):
-            if comp.rows[u] & member != member & ~(1 << u):
-                return None  # component is not a clique
-        seen |= member
-        classes.append(tuple(iter_bits(member)))
+    members: dict[int, int] = {}  # row -> mask of the vertices with that row
+    for v, row in enumerate(g.rows):
+        members[row] = members.get(row, 0) | 1 << v
+    full = (1 << g.n) - 1
+    if any(row != full & ~mask for row, mask in members.items()):
+        return None
+    classes = [tuple(iter_bits(mask)) for mask in members.values()]
     classes.sort(key=lambda c: (len(c), c[0]))
     return classes
 

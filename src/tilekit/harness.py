@@ -42,6 +42,7 @@ from .solver import (
 )
 from .thresholds import (
     BoundLine,
+    _check_degrees,
     chromatic_data,
     check_degree_sequence,
     format_rational,
@@ -345,8 +346,10 @@ def emit_boundline_plot_data(
 
     Column k holds ceil(required(n, i)) for i up to the cutoff index and
     the flat ceiling value afterwards; at a cutoff index that lands on an
-    integer the two segments agree.
+    integer the two segments agree.  Raises ValueError unless n >= 1.
     """
+    if n < 1:
+        raise ValueError(f"host order n must be at least 1, got {n}")
     if isinstance(lines, BoundLine):
         lines = [lines]
     if labels is None:
@@ -428,14 +431,6 @@ def _recover_bottle_fractions(line: BoundLine) -> tuple[int, Fraction, Fraction]
     return r, neck_frac, width_frac
 
 
-def _passes_line(sizes: Sequence[int], line: BoundLine, n: int) -> bool:
-    degs = sorted(n - s for s in sizes for _ in range(s))
-    return all(
-        degs[i - 1] >= line.required_ceil(n, i)
-        for i in range(1, line.last_index(n) + 1)
-    )
-
-
 def generate_satisfying_instance(line: BoundLine, n: int, seed: int) -> Graph:
     """Seeded host meeting the line: a multipartite skeleton plus edges.
 
@@ -457,7 +452,7 @@ def generate_satisfying_instance(line: BoundLine, n: int, seed: int) -> Graph:
     if sizes[0] < 0:
         sizes = [0] + [math.floor(width_frac * n)] * (r - 1)
         sizes[0] = n - sum(sizes[1:])
-    while not _passes_line(sizes, line, n):
+    while not _check_degrees([n - s for s in sizes for _ in range(s)], line):
         if max(sizes) - min(sizes) <= 1:
             if max(sizes) <= 1:
                 raise AssertionError("feasible line rejected the complete graph")
@@ -702,11 +697,14 @@ def solver_oracle_sweep(
     return ExperimentReport(experiment="solver-oracle-sweep", records=tuple(records))
 
 
-def hajnal_szemeredi_suite(count: int, seed: int) -> ExperimentReport:
+def hajnal_szemeredi_suite(
+    count: int, seed: int, budget: int = DEFAULT_BUDGET
+) -> ExperimentReport:
     """Perfect clique tilings under the classical minimum-degree bound.
 
     Seeded hosts with delta >= (1 - 1/r) n and r | n must admit perfect
-    K_r-tilings; the solver must find one and prove it optimal.
+    K_r-tilings; the solver must find one and prove it optimal within the
+    node budget, or the record is inconclusive.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -719,7 +717,7 @@ def hajnal_szemeredi_suite(count: int, seed: int) -> ExperimentReport:
         inst_seed = master.randrange(2**32)
         host = random_min_degree_host(r, n, inst_seed)
         kr = complete_multipartite([1] * r).graph
-        result = max_tiling(host, [kr])
+        result = max_tiling(host, [kr], budget=budget)
         if not result.proven_optimal:
             verdict = "inconclusive"
         elif result.covered_count == n:

@@ -85,13 +85,13 @@ class CopyCatalog:
     A copy is an image vertex set: copies are deduplicated by it and listed
     in lexicographic order of the sorted set.  Each carries one witness
     embedding, the lexicographically least of all embeddings onto that set
-    when pattern vertices are read by descending degree, ties by index.
-    ``truncated`` is set exactly when more than `cap` copies exist, so
-    ``len(copies) + truncated`` is a lower bound on the true count, and
-    downstream optimality claims must be downgraded.
+    when pattern vertices are read by descending degree, ties by index; a
+    partitioned pattern's classes ride on every witness.  ``truncated`` is
+    set exactly when more than `cap` copies exist, so ``len(copies) +
+    truncated`` is a lower bound on the true count, and downstream
+    optimality claims must be downgraded.
     """
 
-    pattern_classes: Optional[tuple[tuple[int, ...], ...]]
     copies: tuple[Embedding, ...]
     truncated: bool = False
 
@@ -309,11 +309,7 @@ def enumerate_copies(
             truncated = True
             break
         copies.append(Embedding(pg, image, pcls))
-    return CopyCatalog(
-        pattern_classes=pcls,
-        copies=tuple(copies),
-        truncated=truncated,
-    )
+    return CopyCatalog(copies=tuple(copies), truncated=truncated)
 
 
 # ---------------------------------------------------------------------------

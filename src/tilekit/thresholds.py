@@ -18,8 +18,11 @@ graph with neck s and widths (h - s)/(r - 1) (Komlos 2000), at three necks:
 :func:`general_line` at a relaxed s = sigma'.  Its sloped part meets the flat
 tiling threshold exactly at the cutoff index, asserted at construction time.
 
-The chromatic number is found by the sigma search itself: the first k >= the
-greedy clique size for which :func:`sigma_coloring` finds a k-colouring.
+The colour classes behind r and sigma come from one place, the private
+``_sigma_classes``: the parts of a complete multipartite pattern, or else the
+witness of the first k >= the greedy clique size for which
+:func:`sigma_coloring` finds a k-colouring.  :func:`chromatic_data`,
+:func:`chromatic_number` and the H_1 construction all read it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 from .graphs import Graph, iter_bits, multipartite_classes
 
@@ -128,19 +131,32 @@ def chromatic_number(g: Graph) -> int:
         return 0
     if g.edge_count() == 0:
         return 1
-    return _chi_and_sigma(g)[0]
+    return len(_sigma_classes(g))
 
 
-def _chi_and_sigma(g: Graph) -> tuple[int, int]:
-    """(chi, sigma) of a graph with an edge, from one colouring search per k.
+def _sigma_classes(g: Graph) -> list[tuple[int, ...]]:
+    """Colour classes of a chi-colouring of g whose smallest class is sigma,
+    sorted by (size, least vertex).  Raises ValueError unless g has an edge.
 
-    The first k at which :func:`sigma_coloring` finds a proper k-colouring
-    is chi, and the smallest class that same search reports is sigma.
+    A complete multipartite g answers with its parts, which are the colour
+    classes of every optimal colouring.  Otherwise the first k from the
+    greedy clique bound up at which :func:`sigma_coloring` succeeds is chi,
+    and that search's witness gives the classes.
     """
+    if g.n == 0:
+        raise ValueError("empty pattern")
+    if g.edge_count() == 0:
+        raise ValueError("edgeless pattern: chromatic number 1 is unsupported")
+    parts = multipartite_classes(g)
+    if parts is not None:
+        return parts
     for k in range(max(2, _greedy_clique_size(g)), g.n + 1):
-        sigma = sigma_coloring(g, k)[0]
+        sigma, colors = sigma_coloring(g, k)
         if sigma <= g.n:
-            return k, sigma
+            classes = [[] for _ in range(k)]
+            for v, c in enumerate(colors):
+                classes[c].append(v)
+            return sorted(map(tuple, classes), key=lambda c: (len(c), c[0]))
     raise AssertionError("unreachable: every graph is n-colorable")
 
 
@@ -199,21 +215,12 @@ def chromatic_data(pattern: Graph) -> TilingParams:
     Edgeless patterns are rejected: chi = 1 degenerates every formula here
     (omega and chi_cr would divide by r - 1 = 0).
 
-    Complete multipartite patterns short-circuit the search: their parts are
-    the colour classes of every optimal colouring, so sigma is the smallest
-    part.  Other patterns take chi and sigma from the same colouring search.
+    r and sigma are the number and the smallest size of the classes that
+    :func:`_sigma_classes` finds.
     """
-    if pattern.n == 0:
-        raise ValueError("empty pattern")
-    if pattern.edge_count() == 0:
-        raise ValueError("edgeless pattern: chromatic number 1 is unsupported")
     h = pattern.n
-    parts = multipartite_classes(pattern)
-    if parts is not None:
-        r = len(parts)
-        sigma = min(len(p) for p in parts)
-    else:
-        r, sigma = _chi_and_sigma(pattern)
+    classes = _sigma_classes(pattern)
+    r, sigma = len(classes), len(classes[0])
     return TilingParams(
         h=h,
         r=r,
@@ -362,8 +369,14 @@ class DegreeCheck:
 
 def check_degree_sequence(g: Graph, line: BoundLine) -> DegreeCheck:
     """Test d_i >= ceil((intercept + slack) n + slope i) up to the cutoff."""
-    n = g.n
-    degs = sorted(g.degrees())
+    return _check_degrees(g.degrees(), line)
+
+
+def _check_degrees(degrees: Sequence[int], line: BoundLine) -> DegreeCheck:
+    """:func:`check_degree_sequence` for the degrees of an n-vertex host,
+    n = len(degrees), given in any order."""
+    n = len(degrees)
+    degs = sorted(degrees)
     for i in range(1, line.last_index(n) + 1):
         need = line.required_ceil(n, i)
         if degs[i - 1] < need:

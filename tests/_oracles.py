@@ -6,8 +6,10 @@ expanding/swapping sets by trying all injections, regularity by walking
 subset pairs with Fraction arithmetic (by size, and in mask order for the
 witness), copy catalogues by trying every vertex subset in lexicographic
 order, the maximum tiling, with or without the lexicographic overlap
-objective, by recursion over an explicit copy list, and the dense hosts by
-listing every vertex pair that their defining rule joins.
+objective, by recursion over an explicit copy list, the dense hosts by
+listing every vertex pair that their defining rule joins, and the parts of a
+complete multipartite graph by checking that non-adjacency is an equivalence
+relation.
 """
 
 from __future__ import annotations
@@ -276,6 +278,26 @@ def _host_from_rule(sizes: Sequence[int], joined):
 def reference_complete_multipartite(sizes: Sequence[int]):
     """Every two vertices of different classes are joined."""
     return _host_from_rule(sizes, lambda u, v, cu, cv: cu != cv)
+
+
+def reference_multipartite_classes(g: Graph):
+    """Parts of g, sorted by (size, least vertex), if g is complete
+    multipartite; otherwise None (also for the empty graph).
+
+    Two vertices share a part exactly when they are equal or not adjacent,
+    so that relation must be transitive, and its classes are the parts.
+    """
+    if g.n == 0:
+        return None
+
+    def same(u: int, v: int) -> bool:
+        return u == v or not g.has_edge(u, v)
+
+    for u, v, w in permutations(range(g.n), 3):
+        if same(u, v) and same(v, w) and not same(u, w):
+            return None
+    parts = {tuple(v for v in range(g.n) if same(u, v)) for u in range(g.n)}
+    return sorted(parts, key=lambda c: (len(c), c[0]))
 
 
 def reference_blow_up(g: Graph, t: int):

@@ -400,6 +400,15 @@ def test_sweep_hajnal_szemeredi(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize("suite", ["solver-oracle", "hajnal-szemeredi"])
+def test_sweep_budget_limited_solves_are_inconclusive(capsys, suite):
+    code, out, _ = run(
+        capsys, "sweep", "--suite", suite, "--count", "4", "--budget", "1", "--json",
+    )
+    assert code == 2
+    assert "inconclusive" in {rec["verdict"] for rec in json.loads(out)["records"]}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -454,6 +463,14 @@ def test_plotdata_overlays_and_file_output(capsys, tmp_path):
     # the x-lines overlay the base line rather than replacing it
     header = out_path.read_text().splitlines()[0]
     assert header == "i,komlos,x=1/2,x=2/3"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_plotdata_rejects_an_order_below_one(capsys, n):
+    code, out, err = run(capsys, "plotdata", "--pattern", "C5", "--n", n)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: host order n must be at least 1, got {n}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -415,6 +415,32 @@ def test_h1_covers_exactly_the_x_fraction(pattern: Graph, x: Fraction):
     assert len(result.tiling.covered) == x * result.h1.graph.n
 
 
+C7 = Graph(7, [(i, (i + 1) % 7) for i in range(7)])
+
+# pattern: (class sizes of H_1, image of each copy) at x = 1/2; C5 and C7
+# take their colour classes from the sigma search, K_{1,2} and
+# bottle(3, 1, 2) from their parts
+H1_PINS = {
+    "C5": (C5, (2, 9, 9), [(2, 11, 3, 12, 0), (13, 4, 14, 5, 1)]),
+    "C7": (C7, (2, 13, 13), [(2, 15, 3, 16, 4, 17, 0), (18, 5, 19, 6, 20, 7, 1)]),
+    "K_{1,2}": (complete_multipartite([1, 2]).graph, (1, 5), [(0, 1, 2)]),
+    "bottle(3,1,2)": (
+        bottle_graph(3, 1, 2).graph,
+        (2, 9, 9),
+        [(0, 2, 3, 11, 12), (1, 13, 14, 4, 5)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(H1_PINS))
+def test_h1_tiling_is_pinned(name):
+    pattern, sizes, images = H1_PINS[name]
+    result = build_h1(pattern, Fraction(1, 2))
+    assert result.h1.class_sizes() == sizes
+    assert [emb.image for emb in result.tiling.embeddings] == images
+    assert is_valid_tiling(result.h1.graph, result.tiling)
+
+
 def test_h1_neck_is_exactly_filled():
     result = build_h1(K3, Fraction(1, 2))
     neck = set(result.h1.classes[0])

@@ -173,6 +173,34 @@ def test_check_swapping_set_catches_gap_violation():
     assert "index gap" in check_swapping_set(host, tiling, bad).violation
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        (((1, 2),), "vertex 1 lies inside the tiling"),
+        (((3, 0),), "witness 0 is not a width-class vertex"),  # the neck
+        (((3, 4),), "witness 4 is not a width-class vertex"),  # no copy
+        (((3, 2), (4, 1)), "two pairs share a copy"),
+    ],
+    ids=["covered-z", "neck-y", "outside-y", "shared-copy"],
+)
+def test_check_swapping_set_names_the_violation(pairs, message):
+    host, tiling, ordering = _swap_fixture()
+    ss = SwappingSet(ordering=ordering, offset=0, pairs=pairs)
+    assert check_swapping_set(host, tiling, ss).violation == message
+
+
+def test_copies_without_class_structure_are_rejected():
+    host, _, ordering = _swap_fixture()
+    bare = Tiling((Embedding(K3, (0, 1, 2)),))
+    with pytest.raises(ValueError, match="class structure"):
+        find_expanding_set(host, bare, 1)
+    with pytest.raises(ValueError, match="class structure"):
+        find_swapping_set(host, bare, ordering, 0, 1)
+    ss = SwappingSet(ordering=ordering, offset=0, pairs=((3, 2),))
+    with pytest.raises(ValueError, match="class structure"):
+        check_swapping_set(host, bare, ss)
+
+
 def test_swapping_rejects_a_copy_with_unequal_width_classes():
     # K_{1,1,2} is no bottle graph: its width classes have sizes 1 and 2, so
     # no single omega threshold applies to it

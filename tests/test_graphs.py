@@ -26,7 +26,11 @@ from tilekit.graphs import (
     parse_graph,
 )
 
-from _oracles import reference_blow_up, reference_complete_multipartite
+from _oracles import (
+    reference_blow_up,
+    reference_complete_multipartite,
+    reference_multipartite_classes,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -91,20 +95,6 @@ def test_degree_sum_is_twice_edge_count(g: Graph):
 def test_adjacency_is_symmetric(g: Graph):
     for u, v in g.edges():
         assert g.has_edge(u, v) and g.has_edge(v, u)
-
-
-@PROPERTY_SETTINGS
-@given(graphs())
-def test_complement_is_involutive(g: Graph):
-    assert g.complement().complement() == g
-
-
-@PROPERTY_SETTINGS
-@given(graphs())
-def test_complement_degrees(g: Graph):
-    comp = g.complement()
-    for v in range(g.n):
-        assert g.degree(v) + comp.degree(v) == g.n - 1
 
 
 def test_induced_subgraph():
@@ -336,6 +326,31 @@ def test_multipartite_classes_recovers_sizes(sizes: list[int]):
     assert found == sorted(found, key=lambda c: (len(c), c[0]))
 
 
+@st.composite
+def relabelled_multipartite(draw: st.DrawFn, drop_edge: bool) -> Graph:
+    """A complete multipartite graph under a random relabelling, with one
+    edge removed when drop_edge is set."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=4))
+    g = complete_multipartite(sizes).graph
+    perm = draw(st.permutations(range(g.n)))
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    if drop_edge and edges:
+        del edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+    return Graph(g.n, edges)
+
+
+@PROPERTY_SETTINGS
+@given(
+    st.one_of(
+        graphs(),
+        relabelled_multipartite(drop_edge=False),
+        relabelled_multipartite(drop_edge=True),
+    )
+)
+def test_multipartite_classes_matches_the_pair_rule(g: Graph):
+    assert multipartite_classes(g) == reference_multipartite_classes(g)
+
+
 def test_multipartite_classes_rejects_c5():
     c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     assert multipartite_classes(c5) is None
@@ -375,13 +390,6 @@ def test_tiling_covered_and_len():
     t = Tiling((Embedding(K3, (0, 1, 2)), Embedding(K3, (4, 5, 6))))
     assert t.covered == frozenset({0, 1, 2, 4, 5, 6})
     assert len(t) == 2
-
-
-def test_omega_class_vertices_needs_classes():
-    with pytest.raises(ValueError, match="class structure"):
-        _ = Tiling((Embedding(K3, (0, 1, 2)),)).omega_class_vertices
-    emb = Embedding(K3, (5, 6, 7), pattern_classes=((0,), (1,), (2,)))
-    assert Tiling((emb,)).omega_class_vertices == frozenset({6, 7})
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,14 @@ def test_chromatic_data_agrees_with_the_public_searches(g: Graph):
     assert (params.r, params.sigma) == (r, smallest_color_class(g, r))
 
 
+@PROPERTY_SETTINGS
+@given(graphs_with_edge(max_n=8))
+def test_chromatic_data_matches_brute_force(g: Graph):
+    params = chromatic_data(g)
+    r = brute_chromatic_number(g)
+    assert (params.r, params.sigma) == (r, brute_sigma(g, r))
+
+
 def test_known_parameter_bundles():
     c5 = chromatic_data(C5)
     assert (c5.h, c5.r, c5.sigma) == (5, 3, 1)
