@@ -16,7 +16,7 @@ of O(n^2) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -152,6 +152,20 @@ class Embedding:
     image: tuple[int, ...]
     pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None
 
+    def __init__(
+        self,
+        pattern: Graph,
+        image: tuple[int, ...],
+        pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None,
+    ):
+        # The generated frozen __init__ stores each field by a generic
+        # object.__setattr__ lookup; the catalogue builds one Embedding per
+        # copy, so the fields go straight through their slot descriptors
+        # (bound below the class, one per field in field order).
+        _set_pattern(self, pattern)
+        _set_image(self, image)
+        _set_pattern_classes(self, pattern_classes)
+
     def violation_in(self, host: Graph) -> Optional[str]:
         """None if this is a valid copy in host, else a description."""
         if len(self.image) != self.pattern.n:
@@ -168,6 +182,13 @@ class Embedding:
                     f"({self.image[u]}, {self.image[v]})"
                 )
         return None
+
+
+# Unpacked from fields(), so a field added without a line in __init__
+# fails here, at import, instead of being left unset.
+_set_pattern, _set_image, _set_pattern_classes = (
+    getattr(Embedding, f.name).__set__ for f in fields(Embedding)
+)
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,13 @@ Two solvers deliberately share nothing beyond the Graph type:
   through its *copy type*, the number of vertices it takes from each class.
   The search branches on the lowest free vertex: a type through its class,
   placed on the lowest free vertices of each class it uses, or skipping the
-  vertex (its whole class when no type through it fits).  It cuts a subtree
-  by the bound covered + the best coin sum of pattern sizes within the free
-  count, and by a dominance table of the most covered seen per free mask.
-  On a host without twins every type is one copy.
+  vertex (its whole class when no type through it fits).  A class lists
+  only the types whose singleton-class vertices all lie at or above its
+  least vertex, since no other type can fit while it holds the lowest free
+  vertex.  It cuts a subtree by the bound covered + the best coin sum of
+  pattern sizes within the free count, and by a dominance table of the most
+  covered seen per free mask.  On a host without twins every type is one
+  copy, listed once, at its least vertex.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
@@ -287,8 +290,13 @@ def enumerate_copies(
         more than `cap` copies exist (``cap=0`` keeps none and reports
         whether any exists).
     within: restrict images to this vertex pool.
-    touching: keep only copies meeting this set (used to ask "does any copy
-        pass through V?" cheaply with cap=1).
+    touching: keep only copies meeting this set.  With cap=1 this answers
+        "does any copy pass through V?", but not cheaply: the catalogue's
+        order and witnesses need every copy with a given least vertex
+        before the first of them is yielded, so each least vertex the scan
+        reaches costs its whole chunk (one C5 query on a 150-vertex host
+        takes minutes).  A query that stops at the first copy is ROADMAP
+        item 5.
 
     Vertices of `within` or `touching` outside the host raise ValueError.
     Order and witnesses are as described on :class:`CopyCatalog`.
@@ -371,20 +379,28 @@ def max_tiling(
     copy's catalogue witness.  The types come from :func:`enumerate_copies`
     restricted to the first min(|class|, h) vertices of each class, and are
     ordered as copies are: larger patterns first, then lexicographic image
-    of the canonical copy.
+    of the canonical copy.  The catalogue already lists one pattern's copies
+    in that order, so the types are sorted only where two patterns share a
+    size; the twin test for canonical copies runs only on copies that touch
+    a twin class.
 
     Branch vertex = lowest free vertex.  Its options are the types through
     its class that fit the free vertices, each placed on the lowest free
     vertices of every class it uses (so the free set stays a suffix of each
     class, and twin-symmetric branches coincide), followed by skipping the
-    vertex for good.  When no type through its class fits, the whole class
-    is dropped at once.  A subtree is cut when covered + the best coin sum
-    of pattern sizes within the free count cannot beat the incumbent, or
-    when the dominance table (free mask -> most covered seen there) holds an
-    earlier visit with at least as much covered.  The search stops, proven
-    optimal, as soon as a tiling covers the root bound (the best coin sum
-    within n).  It runs on an explicit stack; the table stops growing at
-    about ``_DOMINANCE_MAX_BYTES``, which only costs pruning.
+    vertex for good.  A type is listed at a class only when none of its
+    singleton-class vertices lies below the class's least vertex: while the
+    class holds the lowest free vertex, such a vertex is taken, so the type
+    could never fit there (on a twin-free host each copy is listed once, at
+    its least vertex, instead of h times).  When no type through its class
+    fits, the whole class is dropped at once.  A subtree is cut when covered
+    + the best coin sum of pattern sizes within the free count cannot beat
+    the incumbent, or when the dominance table (free mask -> most covered
+    seen there) holds an earlier visit with at least as much covered.  The
+    search stops, proven optimal, as soon as a tiling covers the root bound
+    (the best coin sum within n).  It runs on an explicit stack; the table
+    stops growing at about ``_DOMINANCE_MAX_BYTES``, which only costs
+    pruning.
 
     The first tiling attaining the optimum in this deterministic order is
     returned, each type's witness moved onto the twins it took (the j-th
@@ -405,11 +421,16 @@ def max_tiling(
         below[v] = class_mask[i]
         class_mask[i] |= 1 << v
     twins = 0  # the vertices of classes with more than one vertex
+    firsts = 0  # the least vertex of each class
     for mask in class_mask:
+        firsts |= mask & -mask
         if mask & (mask - 1):
             twins |= mask
 
-    types: dict[int, Embedding] = {}  # canonical image mask -> witness
+    # per pattern size, canonical image mask -> witness; a size's copies
+    # arrive in catalogue order, so only one shared by patterns is sorted
+    types: dict[int, dict[int, Embedding]] = {}
+    merged = set()
     seen = set()
     for p in patterns:
         pg, pcls = _pattern_parts(p)
@@ -419,34 +440,54 @@ def max_tiling(
         if key in seen or pg.n > host.n:
             continue
         seen.add(key)
+        of_size = types.setdefault(pg.n, {})
+        if of_size:
+            merged.add(pg.n)
         # a copy uses at most h twins of a class, and any h of them alike
         pool = [v for v in range(host.n) if below[v].bit_count() < pg.n]
         for emb in enumerate_copies(host, p, within=pool).copies:
-            mask = need = 0
+            mask = 0
             for w in emb.image:
                 mask |= 1 << w
-                need |= below[w]
-            if not need & ~mask:  # canonical: no unused twin before a used one
-                types.setdefault(mask, emb)
+            if mask & twins:
+                # canonical: no unused twin before a used one
+                for w in emb.image:
+                    if below[w] & ~mask:
+                        break
+                else:
+                    of_size.setdefault(mask, emb)
+            else:
+                of_size.setdefault(mask, emb)
 
     # per class, the types through it, each as (mask on singleton classes,
     # (class mask, count) per larger class, (size, canonical mask, witness))
     per_class: list[list] = [[] for _ in class_mask]
-    order = sorted(types.items(), key=lambda t: (-t[1].pattern.n, sorted(t[1].image)))
-    for canon, emb in order:
-        parts: tuple = ()
-        if canon & twins:
-            used: dict[int, int] = {}
-            for w in iter_bits(canon & twins):
-                used[cls_of[w]] = used.get(cls_of[w], 0) + 1
-            parts = tuple((class_mask[i], c) for i, c in used.items())
-        entry = (canon & ~twins, parts, (emb.pattern.n, canon, emb))
-        for w in emb.image:
-            if not below[w]:  # once per class: a canonical copy uses its first vertex
-                per_class[cls_of[w]].append(entry)
+    for size in sorted(types, reverse=True):
+        listed = types[size].items()
+        if size in merged:
+            listed = sorted(listed, key=lambda t: sorted(t[1].image))
+        for canon, emb in listed:
+            fixed = canon & ~twins
+            parts: tuple = ()
+            if canon & twins:
+                used: dict[int, int] = {}
+                for w in iter_bits(canon & twins):
+                    used[cls_of[w]] = used.get(cls_of[w], 0) + 1
+                parts = tuple((class_mask[i], c) for i, c in used.items())
+            entry = (fixed, parts, (size, canon, emb))
+            # listed at the least vertex of each class it uses (a canonical
+            # copy uses it), except above its least singleton vertex, which
+            # is taken whenever such a class holds the lowest free vertex
+            at = canon & firsts
+            if fixed:
+                at &= (fixed & -fixed) * 2 - 1
+            while at:
+                low = at & -at
+                per_class[cls_of[low.bit_length() - 1]].append(entry)
+                at ^= low
 
     # best coverable total from m free vertices, ignoring adjacency
-    sizes = sorted({emb.pattern.n for emb in types.values()})
+    sizes = sorted(size for size, of_size in types.items() if of_size)
     fit = [0] * (host.n + 1)
     for m in range(1, host.n + 1):
         best = fit[m - 1]

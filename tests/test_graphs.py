@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import networkx as nx
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -374,6 +377,29 @@ def test_embedding_violations():
     assert "not injective" in Embedding(K3, (0, 1, 1)).violation_in(host)
     assert "outside host range" in Embedding(K3, (0, 1, 6)).violation_in(host)
     assert "pattern has 3" in Embedding(K3, (0, 1)).violation_in(host)
+
+
+def test_embedding_keeps_value_semantics():
+    emb = Embedding(K3, (0, 1, 2))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.image = (3, 4, 5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        emb.pattern_classes = ((0,), (1,), (2,))
+    same = Embedding(pattern=Graph(3, [(0, 1), (1, 2), (2, 0)]), image=(0, 1, 2))
+    assert same == emb and hash(same) == hash(emb)
+    assert same.pattern_classes is None
+    classes = ((0,), (1,), (2,))
+    moved = dataclasses.replace(emb, image=(3, 4, 5), pattern_classes=classes)
+    assert moved == Embedding(K3, (3, 4, 5), classes)
+    assert (moved.pattern, moved.image, moved.pattern_classes) == (K3, (3, 4, 5), classes)
+    assert moved != emb and emb.image == (0, 1, 2)
+    # the written-out __init__ takes every field, in field order
+    names = [f.name for f in dataclasses.fields(Embedding)]
+    assert list(inspect.signature(Embedding).parameters) == names
+    assert repr(moved) == (
+        "Embedding(pattern=Graph(n=3, m=3), image=(3, 4, 5), "
+        "pattern_classes=((0,), (1,), (2,)))"
+    )
 
 
 def test_tiling_validation():

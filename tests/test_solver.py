@@ -22,6 +22,7 @@ from tilekit.constructions import (
 from tilekit.graphs import (
     Graph,
     Tiling,
+    blow_up,
     bottle_graph,
     complete_multipartite,
     is_valid_tiling,
@@ -276,29 +277,78 @@ def test_tiling_result_rejects_unknown_optimality():
         TilingResult(tiling=Tiling(), covered_count=0, optimality="maybe")
 
 
+K12 = complete_multipartite([1, 2]).graph
+
+
+def seeded_host(seed: int, n: int, p: float) -> Graph:
+    rng = random.Random(seed)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
 # Seeded hosts without twins, each with the tiling a search over all copies
-# returns: on such hosts every copy type is one copy, so these stay put.
+# returns: on such hosts every copy type is one copy, so these stay put.  The
+# last two mix K3 with K_{1,2}, two patterns of one size whose types merge.
 PINNED_TWIN_FREE = [
     (1, 14, 0.35, [K3, K2], [[0, 4, 9], [1, 2, 13], [3, 7, 10], [5, 8], [11, 12]]),
     (2, 16, 0.3, [C4], [[1, 6, 5, 8], [2, 3, 7, 9], [10, 14, 13, 15]]),
     (3, 15, 0.5, [C5], [[0, 6, 13, 1, 12], [2, 3, 4, 10, 14], [5, 7, 8, 9, 11]]),
-    (4, 18, 0.25, [complete_multipartite([1, 2]).graph],
+    (4, 18, 0.25, [K12],
      [[0, 1, 2], [4, 3, 8], [11, 5, 12], [15, 6, 7], [13, 9, 16], [10, 14, 17]]),
     (5, 20, 0.4, [K3],
      [[0, 7, 14], [1, 6, 11], [2, 8, 16], [3, 17, 18], [4, 9, 19], [5, 12, 13]]),
     (6, 13, 0.45, [complete_multipartite([1, 2, 2]).graph, K3],
      [[0, 5, 11], [2, 3, 7], [4, 8, 10]]),
+    (21, 15, 0.35, [K3, K12], [[1, 0, 3], [2, 4, 6], [7, 5, 9], [10, 11, 13]]),
+    (22, 12, 0.3, [K3, K12], [[0, 2, 3], [8, 1, 6], [4, 7, 9]]),
 ]
+# the nodes each of those searches takes, by seed
+TWIN_FREE_NODES = {1: 829, 2: 19, 3: 246, 4: 86, 5: 134, 6: 64, 21: 2310, 22: 47}
 
 
 @pytest.mark.parametrize("seed, n, p, patterns, images", PINNED_TWIN_FREE)
 def test_twin_free_tilings_are_pinned(seed, n, p, patterns, images):
-    rng = random.Random(seed)
-    host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    host = seeded_host(seed, n, p)
     assert len(set(host.rows)) == n  # no two vertices are twins
     result = max_tiling(host, patterns)
     assert result.proven_optimal
+    assert result.reason is None
     assert [list(emb.image) for emb in result.tiling.embeddings] == images
+    assert result.nodes == TWIN_FREE_NODES[seed]
+
+
+# t-fold blow-ups of seeded twin-free hosts: every class has t twins
+PINNED_BLOW_UPS = [
+    (7, 8, 0.5, 2, [K3, K2],
+     [[0, 2, 8], [1, 3, 12], [4, 9], [5, 10], [6, 14], [7, 15], [11, 13]], 16, 39),
+    (8, 7, 0.6, 2, [C5], [[0, 2, 1, 3, 6], [4, 7, 8, 5, 9]], 10, 3),
+    (9, 6, 0.5, 3, [K3], [[0, 6, 15], [1, 7, 16], [2, 8, 17]], 9, 31),
+    (10, 6, 0.6, 3, [C4, K2],
+     [[0, 3, 1, 4], [2, 5, 12, 6], [7, 13, 8, 14], [9, 15, 10, 16], [11, 17]], 18, 15),
+    (11, 5, 0.7, 3, [complete_multipartite([1, 2, 2]).graph, K3],
+     [[3, 0, 1, 12, 13], [2, 6, 14], [4, 7, 9], [5, 8, 10]], 14, 349),
+]
+
+
+@pytest.mark.parametrize("seed, n, p, t, patterns, images, covered, nodes", PINNED_BLOW_UPS)
+def test_blow_up_tilings_are_pinned(seed, n, p, t, patterns, images, covered, nodes):
+    host = blow_up(seeded_host(seed, n, p), t).graph
+    result = max_tiling(host, patterns)
+    assert result.proven_optimal
+    assert [list(emb.image) for emb in result.tiling.embeddings] == images
+    assert result.covered_count == covered
+    assert result.nodes == nodes
+
+
+def test_budget_hit_tiling_is_pinned():
+    # the twin-free K3 host above, stopped after 50 of its 134 nodes
+    result = max_tiling(seeded_host(5, 20, 0.4), [K3], budget=50)
+    assert result.optimality == "best-found"
+    assert result.reason == "node-budget-hit"
+    assert [list(emb.image) for emb in result.tiling.embeddings] == [
+        [0, 7, 14], [1, 4, 9], [2, 8, 16], [3, 17, 18], [5, 12, 13]
+    ]
+    assert result.covered_count == 15
+    assert result.nodes == 50
 
 
 def test_twins_take_the_lowest_free_vertices():
