@@ -169,7 +169,8 @@ def cmd_thresholds(args) -> int:
     elif args.sigma_prime is not None:
         line = general_line(pattern, parse_rational(args.sigma_prime))
     else:
-        line = komlos_line(params, eta=parse_rational(args.eta))
+        eta = "0" if args.eta is None else args.eta  # no slack unless given
+        line = komlos_line(params, eta=parse_rational(eta))
     _emit(
         {
             "h": params.h,
@@ -404,13 +405,24 @@ def cmd_plotdata(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+def _budget(text: str) -> int:
+    """--budget's type: a node count, at least 0."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"budget must be >= 0, got {budget}")
+    return budget
+
+
 def build_parser() -> argparse.ArgumentParser:
     # options shared by several verbs, each given only to the verbs that read it
     json_opt = argparse.ArgumentParser(add_help=False)
     json_opt.add_argument("--json", action="store_true", help="machine-readable output")
     budget_opt = argparse.ArgumentParser(add_help=False)
     budget_opt.add_argument(
-        "--budget", type=int, default=DEFAULT_BUDGET, help="solver node budget"
+        "--budget", type=_budget, default=DEFAULT_BUDGET, help="solver node budget"
     )
 
     parser = argparse.ArgumentParser(
@@ -422,9 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
         "thresholds", parents=[json_opt], help="degree-bound lines per pattern"
     )
     p.add_argument("--pattern", help="pattern file or name")
-    p.add_argument("--eta", default="0", help="additive slack coefficient")
-    p.add_argument("--x", help="proportional coverage x = a/b (uses the x-line)")
-    p.add_argument("--sigma-prime", help="relaxed neck parameter (general line)")
+    line = p.add_mutually_exclusive_group()
+    line.add_argument("--eta", help="additive slack coefficient (default 0)")
+    line.add_argument("--x", help="proportional coverage x = a/b (uses the x-line)")
+    line.add_argument("--sigma-prime", help="relaxed neck parameter (general line)")
     p.add_argument(
         "--figure2", action="store_true", help="print the reference table"
     )

@@ -5,6 +5,8 @@ ExperimentReport whose records each carry the seed that regenerates them;
 rerunning any suite with the same arguments reproduces the report
 bit-for-bit.  Verdicts are three-valued: a solver that gives up its
 optimality proof downgrades a record to "inconclusive", never to "pass".
+Every suite record is built by :func:`_record`, the one place a verdict
+is decided.
 """
 
 from __future__ import annotations
@@ -509,6 +511,16 @@ def random_tiling_instance(seed: int) -> tuple[Graph, Tiling, PartitionedGraph]:
 # verification suites
 # ---------------------------------------------------------------------------
 
+def _record(
+    label: str, holds: bool, decided: bool, params: dict, details: dict,
+    seed: Optional[int] = None,
+) -> InstanceRecord:
+    """The verdict rule: "pass" or "fail" as the claim holds, once the check
+    is decided; "inconclusive" while it is not."""
+    verdict = ("pass" if holds else "fail") if decided else "inconclusive"
+    return InstanceRecord(label, verdict, seed, params, details)
+
+
 def _solve_record_details(result) -> dict:
     return {
         "covered": result.covered_count,
@@ -523,18 +535,15 @@ def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
     misses_required = math.ceil(Fraction(3, 2) * point["eta"] * point["n"])
     label = f"staircase-n{point['n']}-k{point['k']}"
     if inst.host.graph.n > ORACLE_MAX_VERTICES:
-        return InstanceRecord(
-            label=label,
-            verdict="inconclusive",
-            params=point,
-            details={"reason": "host too large for the exhaustive oracle"},
+        return _record(
+            label, False, False, point,
+            {"reason": "host too large for the exhaustive oracle"},
         )
     result = max_tiling_oracle(
         inst.host.graph, [pattern], maximize_overlap=inst.C
     )
     overlap = len(result.tiling.covered & set(inst.C))
     missed = len(inst.C) - overlap
-    verdict = "pass" if missed >= misses_required else "fail"
     details = _solve_record_details(result)
     details.update(
         {
@@ -544,12 +553,7 @@ def _extremal_one_record(point: dict, budget: int) -> InstanceRecord:
             "required_missed": misses_required,
         }
     )
-    return InstanceRecord(
-        label=label,
-        verdict=verdict,
-        params=point,
-        details=details,
-    )
+    return _record(label, missed >= misses_required, True, point, details)
 
 
 def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
@@ -559,7 +563,6 @@ def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
         inst.host.graph, pattern, cap=1, touching=inst.v_prime
     )
     hits = len(catalog.copies) + (1 if catalog.truncated else 0)
-    verdict = "pass" if not catalog.copies else "fail"
     hypothesis_vertex = dip_exclusion_witness(pattern)
     details: dict = {
         "v_prime": list(inst.v_prime),
@@ -574,11 +577,10 @@ def _extremal_two_record(point: dict, budget: int) -> InstanceRecord:
         details["copies_meeting_v_prime_is_lower_bound"] = True
     if catalog.copies:
         details["witness_copy"] = list(catalog.copies[0].image)
-    return InstanceRecord(
-        label=f"degree-dip-n{n}",
-        verdict=verdict,
-        params={"n": n, "eta": eta, "pattern_order": pattern.n},
-        details=details,
+    # the capped listing is exact for existence, so this is always decided
+    return _record(
+        f"degree-dip-n{n}", not catalog.copies, True,
+        {"n": n, "eta": eta, "pattern_order": pattern.n}, details,
     )
 
 
@@ -587,20 +589,13 @@ def _extremal_three_record(point: dict, budget: int) -> InstanceRecord:
     host = extremal_three(pattern, n, x, eta)
     result = max_tiling(host.graph, [pattern], budget=budget)
     bound = (x - eta) * n
-    params = {"n": n, "x": x, "eta": eta, "pattern_order": pattern.n}
     details = _solve_record_details(result)
     details["proportional_bound"] = bound
-    if result.covered_count >= bound:
-        verdict = "fail"
-    elif result.proven_optimal:
-        verdict = "pass"
-    else:
-        verdict = "inconclusive"
-    return InstanceRecord(
-        label=f"bottleneck-n{n}-x{x}",
-        verdict=verdict,
-        params=params,
-        details=details,
+    holds = result.covered_count < bound
+    # a tiling that reaches the bound refutes the claim without a proof
+    return _record(
+        f"bottleneck-n{n}-x{x}", holds, result.proven_optimal or not holds,
+        {"n": n, "x": x, "eta": eta, "pattern_order": pattern.n}, details,
     )
 
 
@@ -627,7 +622,8 @@ def verify_extremal_suite(
 
     The grid is a list of points, each read by :func:`read_params`; any
     other JSON value is a named input error.  A budget-limited solve
-    downgrades the record to inconclusive.
+    downgrades the record to inconclusive, unless its tiling already
+    reaches the ex3 bound, which refutes the claim without a proof.
     """
     if family not in _EXTREMAL_RUNNERS:
         raise ValueError(f"unknown family {family!r}; pick one of ex1, ex2, ex3")
@@ -658,12 +654,7 @@ def solver_oracle_sweep(
         raise ValueError("max_n must be at least 5")
     if max_n > ORACLE_MAX_VERTICES:
         raise ValueError(f"oracle refuses hosts above {ORACLE_MAX_VERTICES} vertices")
-    patterns = [
-        ("K2", complete_multipartite([1, 1]).graph),
-        ("K3", complete_multipartite([1] * 3).graph),
-        ("K_{1,2}", complete_multipartite([1, 2]).graph),
-        ("C5", cycle_graph(5)),
-    ]
+    patterns = [(name, pattern_by_name(name)) for name in ("K2", "K3", "K_{1,2}", "C5")]
     master = random.Random(seed)
     records = []
     for i in range(count):
@@ -674,25 +665,17 @@ def solver_oracle_sweep(
         host = random_host(n, inst_seed, prob)
         got = max_tiling(host, [pattern], budget=budget)
         want = max_tiling_oracle(host, [pattern])
-        if not got.proven_optimal:
-            verdict = "inconclusive"
-        elif got.covered_count == want.covered_count:
-            verdict = "pass"
-        else:
-            verdict = "fail"
+        details = {
+            "solver_covered": got.covered_count,
+            "oracle_covered": want.covered_count,
+            "optimality": got.optimality,
+            "nodes": got.nodes,
+        }
+        params = {"n": n, "pattern": name, "edge_prob": round(prob, 4)}
+        holds = got.covered_count == want.covered_count
         records.append(
-            InstanceRecord(
-                label=f"sweep-{i:03d}-{name}",
-                verdict=verdict,
-                seed=inst_seed,
-                params={"n": n, "pattern": name, "edge_prob": round(prob, 4)},
-                details={
-                    "solver_covered": got.covered_count,
-                    "oracle_covered": want.covered_count,
-                    "optimality": got.optimality,
-                    "nodes": got.nodes,
-                },
-            )
+            _record(f"sweep-{i:03d}-{name}", holds, got.proven_optimal, params, details,
+                    seed=inst_seed)
         )
     return ExperimentReport(experiment="solver-oracle-sweep", records=tuple(records))
 
@@ -718,19 +701,9 @@ def hajnal_szemeredi_suite(
         host = random_min_degree_host(r, n, inst_seed)
         kr = complete_multipartite([1] * r).graph
         result = max_tiling(host, [kr], budget=budget)
-        if not result.proven_optimal:
-            verdict = "inconclusive"
-        elif result.covered_count == n:
-            verdict = "pass"
-        else:
-            verdict = "fail"
         records.append(
-            InstanceRecord(
-                label=f"hs-{i:03d}-r{r}-n{n}",
-                verdict=verdict,
-                seed=inst_seed,
-                params={"r": r, "n": n},
-                details=_solve_record_details(result),
-            )
+            _record(f"hs-{i:03d}-r{r}-n{n}", result.covered_count == n,
+                    result.proven_optimal, {"r": r, "n": n},
+                    _solve_record_details(result), seed=inst_seed)
         )
     return ExperimentReport(experiment="hajnal-szemeredi", records=tuple(records))

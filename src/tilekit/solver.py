@@ -295,8 +295,8 @@ def enumerate_copies(
         order and witnesses need every copy with a given least vertex
         before the first of them is yielded, so each least vertex the scan
         reaches costs its whole chunk (one C5 query on a 150-vertex host
-        takes minutes).  A query that stops at the first copy is ROADMAP
-        item 5.
+        takes minutes).  A query that stops at the first copy is the
+        ROADMAP item "Existence queries that stop at the first copy".
 
     Vertices of `within` or `touching` outside the host raise ValueError.
     Order and witnesses are as described on :class:`CopyCatalog`.
@@ -410,6 +410,8 @@ def max_tiling(
     """
     if not patterns:
         raise ValueError("need at least one pattern")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     # Twin classes, numbered by least vertex.  A vertex is not in its own
     # row, so twins are never adjacent: a class is an independent set, and
     # permuting it is a host automorphism.
@@ -431,15 +433,10 @@ def max_tiling(
     # arrive in catalogue order, so only one shared by patterns is sorted
     types: dict[int, dict[int, Embedding]] = {}
     merged = set()
-    seen = set()
     for p in patterns:
-        pg, pcls = _pattern_parts(p)
-        if pg.n == 0:
-            raise ValueError("empty pattern")
-        key = (pg, pcls)
-        if key in seen or pg.n > host.n:
+        pg, _ = _pattern_parts(p)
+        if pg.n > host.n:
             continue
-        seen.add(key)
         of_size = types.setdefault(pg.n, {})
         if of_size:
             merged.add(pg.n)

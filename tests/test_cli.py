@@ -56,6 +56,24 @@ def test_thresholds_x_line(capsys):
     assert json.loads(out)["line"]["intercept"] == "9/20"
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--x", "1/2", "--sigma-prime", "2", "--eta", "1/3"],
+        ["--x", "1/2", "--eta", "1/3"],
+        ["--sigma-prime", "3/2", "--eta", "1/3"],
+        ["--x", "1/2", "--sigma-prime", "3/2"],
+    ],
+    ids=["all-three", "x-eta", "sigma-prime-eta", "x-sigma-prime"],
+)
+def test_thresholds_takes_at_most_one_line_option(capsys, options):
+    code, out, err = run(capsys, "thresholds", "--pattern", "C5", *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit thresholds")
+    assert "not allowed with argument" in err
+
+
 def test_thresholds_figure2(capsys):
     code, out, _ = run(capsys, "thresholds", "--figure2", "--json")
     assert code == 0
@@ -191,6 +209,34 @@ def test_solve_budget_exhaustion_is_inconclusive(capsys):
     )
     assert code == 2
     assert json.loads(out)["optimality"] == "best-found"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--host", "K3", "--pattern", "K3"],
+        ["sweep"],
+        ["verify", "--family", "ex1"],
+        ["verify", "--family", "ex2"],
+    ],
+    ids=["solve", "sweep", "verify-ex1", "verify-ex2"],
+)
+def test_a_negative_budget_is_a_usage_error(capsys, argv):
+    # ex1 and ex2 never reach max_tiling, so the parser has to reject it
+    code, out, err = run(capsys, *argv, "--budget", "-5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit")
+    assert "error: argument --budget: budget must be >= 0, got -5" in err
+
+
+def test_a_zero_budget_is_inconclusive(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--host", "K3", "--pattern", "K3", "--budget", "0", "--json"
+    )
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["optimality"], payload["nodes"]) == ("best-found", 0)
 
 
 def test_solve_accepts_pattern_names_as_hosts(capsys):
@@ -373,6 +419,43 @@ def test_verify_ex1_rejects_a_negative_eta(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: eta must be positive\n"
+
+
+def test_verify_ex3_verdict_rule_under_a_tiny_budget(capsys):
+    # a tiling that reaches (x - eta) n refutes the claim without an
+    # optimality proof; a short one proves nothing
+    grid = json.dumps([
+        {"pattern": "K3", "n": 18, "x": "1/3", "eta": "0"},
+        {"pattern": "K3", "n": 90, "x": "1/3", "eta": "1/90"},
+    ])
+    code, out, _ = run(
+        capsys, "verify", "--family", "ex3", "--json", "--budget", "3", "--grid", grid
+    )
+    assert code == 1
+
+    def record(n, eta, verdict, bound):
+        return {
+            "label": f"bottleneck-n{n}-x1/3",
+            "verdict": verdict,
+            "seed": None,
+            "params": {"n": n, "x": "1/3", "eta": eta, "pattern_order": 3},
+            "details": {
+                "covered": 6,
+                "optimality": "best-found",
+                "nodes": 3,
+                "proportional_bound": bound,
+            },
+        }
+
+    assert json.loads(out) == {
+        "experiment": "extremal-ex3",
+        "rng": "mersenne-twister (random.Random)",
+        "verdict": "fail",
+        "records": [
+            record(18, "0/1", "fail", "6/1"),
+            record(90, "1/90", "inconclusive", "29/1"),
+        ],
+    }
 
 
 def test_verify_explicit_grid(capsys):

@@ -44,3 +44,25 @@ def test_no_unused_imports():
         if found:
             unused[str(path.relative_to(ROOT))] = found
     assert not unused, f"imported but never used: {unused}"
+
+
+def _calls_to(tree: ast.AST, name: str) -> list[ast.Call]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == name
+    ]
+
+
+def test_harness_builds_records_only_in_record():
+    # one verdict rule: every suite record goes through harness._record
+    tree = ast.parse((ROOT / "src" / "tilekit" / "harness.py").read_text(encoding="utf-8"))
+    (rule,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_record"
+    ]
+    inside = _calls_to(rule, "InstanceRecord")
+    assert inside
+    assert len(_calls_to(tree, "InstanceRecord")) == len(inside)

@@ -394,6 +394,11 @@ def test_budget_exhaustion_downgrades_optimality():
     assert result.nodes == 4
 
 
+def test_a_negative_budget_is_rejected():
+    with pytest.raises(ValueError, match=r"^budget must be >= 0, got -5$"):
+        max_tiling(complete_multipartite([1, 1, 1]).graph, [K3], budget=-5)
+
+
 def test_reaching_the_root_bound_proves_optimality():
     # the fifth node covers all 12 vertices, the root bound, so the search
     # stops there proven, whatever budget is left
