@@ -12,7 +12,10 @@ errors print one ``error: ...`` line to stderr.  A closed output pipe
 nothing more, and exits 141, which is 128 + SIGPIPE, what a shell reports
 for a writer killed by a closed pipe.  Each verb takes only the shared
 options it reads: ``--json`` all but gadgets (always JSON) and plotdata
-(always CSV), ``--budget`` solve, verify and sweep, ``--seed`` sweep.
+(always CSV), ``--budget`` solve, verify and sweep, ``--seed`` sweep; an
+option that the chosen mode would ignore (``thresholds --figure2`` with a
+pattern or line option, ``sweep --max-n`` outside the solver-oracle suite)
+is a usage error.
 
 Hosts and patterns are given either as files (edge list or graph6) or as
 names in the small pattern grammar (K_t, K_{a,b,...}, C_k, bottle(r,s,w)).
@@ -375,8 +378,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.suite == "solver-oracle":
+        max_n = 14 if args.max_n is None else args.max_n
         report = solver_oracle_sweep(
-            args.count, seed=args.seed, max_n=args.max_n, budget=args.budget
+            args.count, seed=args.seed, max_n=max_n, budget=args.budget
         )
     else:
         report = hajnal_szemeredi_suite(args.count, seed=args.seed, budget=args.budget)
@@ -494,7 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["solver-oracle", "hajnal-szemeredi"],
     )
     p.add_argument("--count", type=int, default=20, help="number of instances")
-    p.add_argument("--max-n", type=int, default=14, help="largest host order")
+    p.add_argument(
+        "--max-n", type=int, help="largest host order (solver-oracle only, default 14)"
+    )
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("plotdata", help="bound-line CSV data")
@@ -507,12 +513,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_plotdata)
 
+    for verb in sub.choices.values():
+        verb.set_defaults(parser=verb)
     return parser
+
+
+def _unread_option(args) -> Optional[str]:
+    """The usage error for an option that the chosen mode would not read."""
+    if args.command == "thresholds" and args.figure2:
+        for name in ("pattern", "eta", "x", "sigma_prime"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                return f"argument --figure2: not allowed with argument {flag}"
+    if args.command == "sweep" and args.suite != "solver-oracle" and args.max_n is not None:
+        return f"argument --max-n: not allowed with argument --suite {args.suite}"
+    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        unread = _unread_option(args)
+        if unread:
+            args.parser.error(unread)
     except SystemExit as exc:
         # argparse has printed the help (code 0) or a usage error; its code 2
         # for the latter would read as an inconclusive verdict

@@ -21,9 +21,13 @@ Two solvers deliberately share nothing beyond the Graph type:
 * :func:`max_tiling` -- branch and bound over the twin quotient.  Open
   twins (vertices with equal rows) form classes, and a copy matters only
   through its *copy type*, the number of vertices it takes from each class.
-  The search branches on the lowest free vertex: a type through its class,
-  placed on the lowest free vertices of each class it uses, or skipping the
-  vertex (its whole class when no type through it fits).  A class lists
+  When every class has at least two vertices (a blow-up), the types are the
+  homomorphisms of the pattern into the quotient whose fibres fit the
+  classes; on any other host they are read off the catalogue restricted to
+  the first h vertices of each class.  The search branches on the lowest
+  free vertex: a type through its class, placed on the lowest free vertices
+  of each class it uses, or skipping the vertex (its whole class when no
+  type through it fits).  A class lists
   only the types whose singleton-class vertices all lie at or above its
   least vertex, since no other type can fit while it holds the lowest free
   vertex.  It cuts a subtree by the bound covered + the best coin sum of
@@ -42,7 +46,7 @@ Two solvers deliberately share nothing beyond the Graph type:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -134,6 +138,19 @@ def _automorphism_extends(pattern: Graph, fixed: Sequence[tuple[int, int]]) -> b
     return rec(0)
 
 
+def _growth_order(pattern: Graph, root: int) -> list[int]:
+    """The pattern's vertices from `root`, each next one with the most placed
+    neighbours, then the highest degree, then the lowest index."""
+    rows = pattern.rows
+    seq = [root]
+    while len(seq) < pattern.n:
+        seq.append(max(
+            (v for v in range(pattern.n) if v not in seq),
+            key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
+        ))
+    return seq
+
+
 def _search_plans(pattern: Graph, order: Sequence[int]):
     """Rooted growth plans that meet each Aut(pattern)-orbit once.
 
@@ -148,12 +165,11 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     the least of them per set.
 
     One plan per root, a pattern vertex allowed to carry the least image
-    vertex.  A plan lists the pattern vertices in growth order (next: most
-    placed neighbours, then degree, then index).  Each step names the vertex
-    placed by its *slot*, its position in `order`, and the slots of the
-    earlier vertices it must be adjacent to, lie above and lie below.
+    vertex.  A plan lists the pattern vertices in :func:`_growth_order`
+    from its root.  Each step names the vertex placed by its *slot*, its
+    position in `order`, and the slots of the earlier vertices it must be
+    adjacent to, lie above and lie below.
     """
-    h = pattern.n
     rows = pattern.rows
     pairs = [
         (a, b)
@@ -167,12 +183,7 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     for root in order:
         if root in above:
             continue
-        seq = [root]
-        while len(seq) < h:
-            seq.append(max(
-                (v for v in range(h) if v not in seq),
-                key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
-            ))
+        seq = _growth_order(pattern, root)
         plans.append(tuple(
             (
                 slot[v],
@@ -185,32 +196,44 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     return plans
 
 
+def _growth(pattern: Graph):
+    """The plans of :func:`_search_plans` for `pattern`, pattern vertices
+    taken by descending degree, ties by index, with the map from a key
+    (images in that order) back to an image; what :func:`_least_witnesses`
+    needs of the pattern, worked out once per pattern."""
+    h = pattern.n
+    if h == 0:
+        raise ValueError("empty pattern")
+    order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
+    # itemgetter returns a bare item, not a 1-tuple, for one index
+    to_image = itemgetter(*sorted(range(h), key=order.__getitem__)) if h > 1 else tuple
+    return _search_plans(pattern, order), to_image
+
+
 def _least_witnesses(
-    host: Graph, pattern: Graph, pool_mask: int, touch_mask: Optional[int]
+    host: Graph, growth, pool_mask: int, touch_mask: Optional[int]
 ) -> Iterator[tuple[int, ...]]:
     """Yield the witness image of every copy, in the catalogue's order.
 
-    Chunk by the least image vertex v1, ascending.  Within a chunk, grow each
-    embedding from v1 along the plans of :func:`_search_plans`, drawing host
-    vertices from the pool above v1 and intersecting neighbourhood masks.
-    The plans leave one embedding per Aut(pattern)-orbit, and an image set
-    can carry several orbits (a triangle carries three K_{1,2} embeddings),
-    so keep, per image set, the key (images read in (-degree, index) order)
-    that is least; it is the witness.  The last growth step records its
-    candidates in a loop rather than one call each.
+    `growth` is :func:`_growth` of the pattern.  Chunk by the least image
+    vertex v1, ascending.  Within a chunk, grow each embedding from v1 along
+    the plans, drawing host vertices from the pool above v1 and intersecting
+    neighbourhood masks.  The plans leave one embedding per
+    Aut(pattern)-orbit, and an image set can carry several orbits (a
+    triangle carries three K_{1,2} embeddings), so keep, per image set, the
+    key (images read in (-degree, index) order) that is least; it is the
+    witness.  The last growth step records its candidates in a loop rather
+    than one call each.
 
     The chunk's dict is keyed by the *reversed* image mask, bit n-1-v for
     vertex v.  Among sets of one size the lexicographic order of the sorted
     sets is descending order of reversed masks, so the chunk is yielded by
     a plain reverse sort, and `touching` is tested on the reversed mask.
     """
-    h = pattern.n
+    plans, to_image = growth
+    h = len(plans[0])
     n = host.n
     rows = host.rows
-    order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
-    plans = _search_plans(pattern, order)
-    # key -> image; itemgetter returns a bare item, not a 1-tuple, for one index
-    to_image = itemgetter(*sorted(range(h), key=order.__getitem__)) if h > 1 else tuple
     rtouch = 0
     if touch_mask is not None:
         for v in iter_bits(touch_mask):
@@ -302,17 +325,16 @@ def enumerate_copies(
     Order and witnesses are as described on :class:`CopyCatalog`.
     """
     pg, pcls = _pattern_parts(pattern)
-    if pg.n == 0:
-        raise ValueError("empty pattern")
     if pg.n > host.n:
         raise ValueError(f"pattern has {pg.n} vertices, host only {host.n}")
+    growth = _growth(pg)  # raises for an empty pattern
     pool_mask = (
         _vertex_mask(host, within, "within") if within is not None else (1 << host.n) - 1
     )
     touch_mask = _vertex_mask(host, touching, "touching") if touching is not None else None
     copies = []
     truncated = False
-    for image in _least_witnesses(host, pg, pool_mask, touch_mask):
+    for image in _least_witnesses(host, growth, pool_mask, touch_mask):
         if cap is not None and len(copies) >= cap:
             truncated = True
             break
@@ -365,6 +387,145 @@ def _take_twins(free: int, taken: int, parts) -> int:
     return taken
 
 
+def _twin_classes(host: Graph):
+    """Open twins (vertices with equal rows) as classes numbered by least
+    vertex: (class of each vertex, mask of each class, the twins before each
+    vertex in its class, the vertices of classes with more than one, the
+    least vertex of each class).
+
+    A vertex is not in its own row, so twins are never adjacent: a class is
+    an independent set, and permuting it is a host automorphism.  Two
+    classes are joined completely or not at all.
+    """
+    class_of_row: dict[int, int] = {}
+    cls_of = [class_of_row.setdefault(row, len(class_of_row)) for row in host.rows]
+    class_mask = [0] * len(class_of_row)
+    below = [0] * host.n
+    for v, i in enumerate(cls_of):
+        below[v] = class_mask[i]
+        class_mask[i] |= 1 << v
+    twins = 0
+    firsts = 0
+    for mask in class_mask:
+        firsts |= mask & -mask
+        if mask & (mask - 1):
+            twins |= mask
+    return cls_of, class_mask, below, twins, firsts
+
+
+def _quotient_types(host: Graph, pattern: Graph, classes) -> list[int]:
+    """The canonical image masks of the copy types of `pattern`, in
+    lexicographic order of the sorted canonical image.
+
+    A copy type is a homomorphism of the pattern into the twin quotient
+    (one vertex per class, two adjacent when the classes are joined) whose
+    fibres fit the classes: a fibre's pattern vertices go to distinct twins,
+    which no pattern edge joins, since the quotient has no loops.  Its
+    canonical copy takes the first c_i vertices of each class i, c_i the
+    fibre's size.  The search places the pattern's vertices in a connected
+    order, each on a class joined to the classes of its placed neighbours (an
+    intersection of host rows on the least vertex of each class), and records
+    the canonical mask of every complete map; several maps give one type.
+    `classes` is :func:`_twin_classes` of the host.
+    """
+    cls_of, class_mask, _, _, firsts = classes
+    h = pattern.n
+    prows = pattern.rows
+    seq = _growth_order(pattern, max(range(h), key=lambda v: (prows[v].bit_count(), -v)))
+    back = [tuple(j for j in range(i) if prows[seq[i]] >> seq[j] & 1) for i in range(h)]
+    rows = host.rows
+    # per class, its first min(|class|, h) vertices as bits
+    nth = [[1 << v for v in islice(iter_bits(mask), h)] for mask in class_mask]
+    at = [0] * h  # the least vertex of the class of each placed vertex
+    used = [0] * len(class_mask)
+    found: set[int] = set()
+    last = h - 1
+
+    def place(i: int, canon: int) -> None:
+        cand = firsts
+        for j in back[i]:
+            cand &= rows[at[j]]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            k = cls_of[v]
+            c = used[k]
+            if c == len(nth[k]):
+                continue
+            if i == last:
+                found.add(canon | nth[k][c])
+            else:
+                used[k] = c + 1
+                at[i] = v
+                place(i + 1, canon | nth[k][c])
+                used[k] = c
+
+    place(0, 0)
+    return sorted(found, key=lambda mask: list(iter_bits(mask)))
+
+
+def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes) -> list[tuple]:
+    """Every copy type as (size, canonical image mask, witness): larger
+    patterns first, then lexicographic order of the canonical image.  A type
+    two patterns of one size share keeps the first pattern's witness, the
+    least embedding of that pattern onto the canonical image.
+
+    `classes` is :func:`_twin_classes` of the host.  Two sources give the
+    same table, and the host decides which runs.  When every twin class has
+    at least two vertices, the types come from the quotient
+    (:func:`_quotient_types`) and each witness from :func:`_least_witnesses`
+    on its canonical image, the pattern's growth plans worked out once.  On
+    any other host they come from the catalogue (:func:`enumerate_copies`)
+    restricted to the first min(|class|, h) vertices of each class: a copy
+    is canonical when no unused twin lies before a used one, and the test
+    runs only on copies that touch a twin class.  Either source lists one
+    pattern's types in the order wanted, so only a size shared by patterns
+    is sorted again, stably.
+    """
+    _, _, below, twins, _ = classes
+    quotient = twins == (1 << host.n) - 1
+    # per pattern size, canonical image mask -> witness
+    types: dict[int, dict[int, Embedding]] = {}
+    merged = set()
+    for p in patterns:
+        pg, pcls = _pattern_parts(p)
+        if pg.n > host.n:
+            continue
+        of_size = types.setdefault(pg.n, {})
+        if of_size:
+            merged.add(pg.n)
+        if quotient:
+            growth = _growth(pg)
+            for canon in _quotient_types(host, pg, classes):
+                if canon not in of_size:
+                    image = next(_least_witnesses(host, growth, canon, None))
+                    of_size[canon] = Embedding(pg, image, pcls)
+            continue
+        # a copy uses at most h twins of a class, and any h of them alike
+        pool = [v for v in range(host.n) if below[v].bit_count() < pg.n]
+        for emb in enumerate_copies(host, p, within=pool).copies:
+            mask = 0
+            for w in emb.image:
+                mask |= 1 << w
+            if mask & twins:
+                # canonical: no unused twin before a used one
+                for w in emb.image:
+                    if below[w] & ~mask:
+                        break
+                else:
+                    of_size.setdefault(mask, emb)
+            else:
+                of_size.setdefault(mask, emb)
+    listed = []
+    for size in sorted(types, reverse=True):
+        of_size = types[size].items()
+        if size in merged:
+            of_size = sorted(of_size, key=lambda t: sorted(t[1].image))
+        listed.extend((size, canon, emb) for canon, emb in of_size)
+    return listed
+
+
 def max_tiling(
     host: Graph,
     patterns: Sequence[PatternLike],
@@ -376,13 +537,16 @@ def max_tiling(
     does not depend on which twins of a class its copies use.  A *copy type*
     is a class-count vector that some copy has; it is represented by its
     canonical copy, on the first vertices of each class it uses, with that
-    copy's catalogue witness.  The types come from :func:`enumerate_copies`
-    restricted to the first min(|class|, h) vertices of each class, and are
-    ordered as copies are: larger patterns first, then lexicographic image
-    of the canonical copy.  The catalogue already lists one pattern's copies
-    in that order, so the types are sorted only where two patterns share a
-    size; the twin test for canonical copies runs only on copies that touch
-    a twin class.
+    copy's catalogue witness, and types are ordered as copies are: larger
+    patterns first, then lexicographic image of the canonical copy.  The
+    host picks their source (:func:`_copy_types`).  When every twin class
+    has at least two vertices, as on a blow-up, the types are the
+    homomorphisms of the pattern into the twin quotient whose fibres fit
+    the classes, and no copy is listed.  On any other host they are the
+    canonical copies of :func:`enumerate_copies` restricted to the first
+    min(|class|, h) vertices of each class: a twin-free host is its own
+    quotient, where the homomorphism search meets each copy once per
+    automorphism of the pattern.
 
     Branch vertex = lowest free vertex.  Its options are the types through
     its class that fit the free vertices, each placed on the lowest free
@@ -412,79 +576,36 @@ def max_tiling(
         raise ValueError("need at least one pattern")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    # Twin classes, numbered by least vertex.  A vertex is not in its own
-    # row, so twins are never adjacent: a class is an independent set, and
-    # permuting it is a host automorphism.
-    class_of_row: dict[int, int] = {}
-    cls_of = [class_of_row.setdefault(row, len(class_of_row)) for row in host.rows]
-    class_mask = [0] * len(class_of_row)
-    below = [0] * host.n  # the twins before v in its class
-    for v, i in enumerate(cls_of):
-        below[v] = class_mask[i]
-        class_mask[i] |= 1 << v
-    twins = 0  # the vertices of classes with more than one vertex
-    firsts = 0  # the least vertex of each class
-    for mask in class_mask:
-        firsts |= mask & -mask
-        if mask & (mask - 1):
-            twins |= mask
-
-    # per pattern size, canonical image mask -> witness; a size's copies
-    # arrive in catalogue order, so only one shared by patterns is sorted
-    types: dict[int, dict[int, Embedding]] = {}
-    merged = set()
-    for p in patterns:
-        pg, _ = _pattern_parts(p)
-        if pg.n > host.n:
-            continue
-        of_size = types.setdefault(pg.n, {})
-        if of_size:
-            merged.add(pg.n)
-        # a copy uses at most h twins of a class, and any h of them alike
-        pool = [v for v in range(host.n) if below[v].bit_count() < pg.n]
-        for emb in enumerate_copies(host, p, within=pool).copies:
-            mask = 0
-            for w in emb.image:
-                mask |= 1 << w
-            if mask & twins:
-                # canonical: no unused twin before a used one
-                for w in emb.image:
-                    if below[w] & ~mask:
-                        break
-                else:
-                    of_size.setdefault(mask, emb)
-            else:
-                of_size.setdefault(mask, emb)
+    classes = _twin_classes(host)
+    cls_of, class_mask, below, twins, firsts = classes
 
     # per class, the types through it, each as (mask on singleton classes,
     # (class mask, count) per larger class, (size, canonical mask, witness))
+    types = _copy_types(host, patterns, classes)
     per_class: list[list] = [[] for _ in class_mask]
-    for size in sorted(types, reverse=True):
-        listed = types[size].items()
-        if size in merged:
-            listed = sorted(listed, key=lambda t: sorted(t[1].image))
-        for canon, emb in listed:
-            fixed = canon & ~twins
-            parts: tuple = ()
-            if canon & twins:
-                used: dict[int, int] = {}
-                for w in iter_bits(canon & twins):
-                    used[cls_of[w]] = used.get(cls_of[w], 0) + 1
-                parts = tuple((class_mask[i], c) for i, c in used.items())
-            entry = (fixed, parts, (size, canon, emb))
-            # listed at the least vertex of each class it uses (a canonical
-            # copy uses it), except above its least singleton vertex, which
-            # is taken whenever such a class holds the lowest free vertex
-            at = canon & firsts
-            if fixed:
-                at &= (fixed & -fixed) * 2 - 1
-            while at:
-                low = at & -at
-                per_class[cls_of[low.bit_length() - 1]].append(entry)
-                at ^= low
+    for opt in types:
+        canon = opt[1]
+        fixed = canon & ~twins
+        parts: tuple = ()
+        if canon & twins:
+            used: dict[int, int] = {}
+            for w in iter_bits(canon & twins):
+                used[cls_of[w]] = used.get(cls_of[w], 0) + 1
+            parts = tuple((class_mask[i], c) for i, c in used.items())
+        entry = (fixed, parts, opt)
+        # listed at the least vertex of each class it uses (a canonical
+        # copy uses it), except above its least singleton vertex, which
+        # is taken whenever such a class holds the lowest free vertex
+        at = canon & firsts
+        if fixed:
+            at &= (fixed & -fixed) * 2 - 1
+        while at:
+            low = at & -at
+            per_class[cls_of[low.bit_length() - 1]].append(entry)
+            at ^= low
 
     # best coverable total from m free vertices, ignoring adjacency
-    sizes = sorted(size for size, of_size in types.items() if of_size)
+    sizes = sorted({opt[0] for opt in types})
     fit = [0] * (host.n + 1)
     for m in range(1, host.n + 1):
         best = fit[m - 1]

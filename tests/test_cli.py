@@ -82,6 +82,25 @@ def test_thresholds_figure2(capsys):
     assert len(payload["rows"]) == 11
 
 
+@pytest.mark.parametrize(
+    "options, flag",
+    [
+        (["--pattern", "C5"], "--pattern"),
+        (["--x", "1/2"], "--x"),
+        (["--eta", "1/3"], "--eta"),
+        (["--sigma-prime", "2"], "--sigma-prime"),
+    ],
+    ids=["pattern", "x", "eta", "sigma-prime"],
+)
+def test_thresholds_figure2_takes_no_pattern_or_line_option(capsys, options, flag):
+    # the reference table reads none of them
+    code, out, err = run(capsys, "thresholds", "--figure2", *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit thresholds")
+    assert err.endswith(f"error: argument --figure2: not allowed with argument {flag}\n")
+
+
 def test_thresholds_requires_pattern(capsys):
     code, _, err = run(capsys, "thresholds")
     assert code == 1
@@ -481,6 +500,24 @@ def test_sweep_hajnal_szemeredi(capsys):
     )
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_sweep_max_n_belongs_to_the_solver_oracle_suite(capsys):
+    # the Hajnal-Szemeredi suite picks its own host orders
+    code, out, err = run(capsys, "sweep", "--suite", "hajnal-szemeredi", "--max-n", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit sweep")
+    assert err.endswith(
+        "error: argument --max-n: not allowed with argument --suite hajnal-szemeredi\n"
+    )
+
+
+def test_sweep_max_n_defaults_to_14(capsys):
+    code, out, _ = run(capsys, "sweep", "--count", "20", "--seed", "2", "--json")
+    assert code == 0
+    orders = {rec["params"]["n"] for rec in json.loads(out)["records"]}
+    assert max(orders) == 14
 
 
 @pytest.mark.parametrize("suite", ["solver-oracle", "hajnal-szemeredi"])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,8 +27,10 @@ from tilekit.graphs import (
     bottle_graph,
     complete_multipartite,
     is_valid_tiling,
+    iter_bits,
 )
-from tilekit.harness import random_host
+from tilekit.harness import generate_satisfying_instance, pattern_by_name, random_host
+from tilekit.thresholds import chromatic_data, x_line
 from tilekit.solver import (
     CopyCatalog,
     TilingResult,
@@ -453,14 +456,16 @@ def test_solver_agrees_with_oracle(host: Graph):
 
 
 @st.composite
-def blow_ups(draw: st.DrawFn) -> Graph:
-    """A base graph on at most 5 vertices, each vertex replaced by 1-4 twins
-    (n <= 16), with the host vertices shuffled so that classes interleave."""
+def blow_ups(draw: st.DrawFn, min_twins: int = 1, max_n: int = 16) -> Graph:
+    """A base graph on at most 5 vertices, each vertex replaced by
+    min_twins-4 twins (n <= max_n), with the host vertices shuffled so that
+    classes interleave."""
     b = draw(st.integers(min_value=1, max_value=5))
     possible = [(i, j) for i in range(b) for j in range(i + 1, b)]
     flips = draw(st.lists(st.booleans(), min_size=len(possible), max_size=len(possible)))
     sizes = draw(
-        st.lists(st.integers(1, 4), min_size=b, max_size=b).filter(lambda s: sum(s) <= 16)
+        st.lists(st.integers(min_twins, 4), min_size=b, max_size=b)
+        .filter(lambda s: sum(s) <= max_n)
     )
     labels = iter(draw(st.permutations(range(sum(sizes)))))
     blocks = [[next(labels) for _ in range(size)] for size in sizes]
@@ -481,6 +486,113 @@ def test_blow_up_tilings_match_oracle(host: Graph, patterns):
     assert ours.proven_optimal
     assert ours.covered_count == max_tiling_oracle(host, patterns).covered_count
     assert is_valid_tiling(host, ours.tiling)
+
+
+# ---------------------------------------------------------------------------
+# copy types: the twin quotient against the pooled catalogue
+# ---------------------------------------------------------------------------
+
+
+def pooled_types(host: Graph, patterns) -> list:
+    """Copy types the slow way, as (sorted canonical image, witness pattern,
+    witness image): every copy on the first min(|class|, h) twins of each
+    class, kept when no unused twin lies before a used one, the first
+    pattern's witness winning a type two patterns share; larger patterns
+    first, then sorted canonical image."""
+    earlier: dict[int, list[int]] = {}  # row -> the twins met so far
+    before = []  # per vertex, its twins of lower index
+    for v, row in enumerate(host.rows):
+        before.append(list(earlier.setdefault(row, [])))
+        earlier[row].append(v)
+    types: dict[int, dict[frozenset, tuple]] = {}
+    for p in patterns:
+        pg = getattr(p, "graph", p)
+        if pg.n > host.n:
+            continue
+        of_size = types.setdefault(pg.n, {})
+        pool = [v for v in range(host.n) if len(before[v]) < pg.n]
+        for emb in enumerate_copies(host, p, within=pool).copies:
+            image = set(emb.image)
+            if all(u in image for w in image for u in before[w]):
+                of_size.setdefault(frozenset(image), (emb.pattern, emb.image))
+    return [
+        (sorted(canon), *witness)
+        for size in sorted(types, reverse=True)
+        for canon, witness in sorted(types[size].items(), key=lambda t: sorted(t[0]))
+    ]
+
+
+def table_types(host: Graph, patterns) -> list:
+    """The type table max_tiling searches, in the form of pooled_types."""
+    table = solver._copy_types(host, patterns, solver._twin_classes(host))
+    return [(list(iter_bits(canon)), emb.pattern, emb.image) for _, canon, emb in table]
+
+
+def takes_the_quotient(host: Graph) -> bool:
+    return all(size >= 2 for size in Counter(host.rows).values())
+
+
+# K_{1,3} puts up to three vertices in one class, more than some classes hold
+TYPE_PATTERNS = [
+    K2, K3, P3, C4, C5, bottle_graph(3, 1, 2), K12, complete_multipartite([1, 3]).graph
+]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(
+    blow_ups(min_twins=2, max_n=20),
+    st.lists(st.sampled_from(TYPE_PATTERNS), min_size=1, max_size=2),
+)
+@example(complete_multipartite([2, 3, 2]).graph, [K3, K12])
+@example(complete_multipartite([2, 3, 2]).graph, [K12, K3])
+def test_quotient_types_match_the_pooled_catalogue(host: Graph, patterns):
+    # two patterns of one size (K3 with K_{1,2}) share types, and the
+    # first pattern's witness wins each shared one
+    assert takes_the_quotient(host)
+    assert table_types(host, patterns) == pooled_types(host, patterns)
+
+
+def line_host(name: str, x: Fraction, n0: int, t: int) -> Graph:
+    line = x_line(chromatic_data(pattern_by_name(name)), x)
+    return blow_up(generate_satisfying_instance(line, n0, 1), t).graph
+
+
+# the x-line blow-up hosts: pattern, x, base order, the blow-up factor of the
+# ROADMAP Baseline, and the number of copy types at that factor
+LINE_HOSTS = [
+    ("K3", Fraction(1, 2), 12, 100, 30),
+    ("C5", Fraction(1, 2), 15, 10, 1422),
+    ("bottle(3,1,2)", Fraction(2, 3), 15, 20, 984),
+]
+
+
+@pytest.mark.parametrize("name, x, n0, t, count", LINE_HOSTS, ids=[r[0] for r in LINE_HOSTS])
+def test_line_host_types_match_the_pooled_catalogue(name, x, n0, t, count):
+    pattern = pattern_by_name(name)
+    small = line_host(name, x, n0, 2)
+    assert takes_the_quotient(small)
+    types = table_types(small, [pattern])
+    assert types == pooled_types(small, [pattern])
+    assert len(types) == count
+    # the same types at the Baseline's factor, where the pool is too slow
+    host = line_host(name, x, n0, t)
+    assert len(table_types(host, [pattern])) == count
+
+
+def test_singleton_classes_keep_the_pooled_catalogue(monkeypatch):
+    # one twin class of one vertex sends the host to the catalogue
+    calls = []
+    quotient_types = solver._quotient_types
+
+    def counted(*args):
+        calls.append(args)
+        return quotient_types(*args)
+
+    monkeypatch.setattr(solver, "_quotient_types", counted)
+    max_tiling(complete_multipartite([1, 2, 2]).graph, [K3])
+    assert calls == []
+    max_tiling(complete_multipartite([2, 2, 2]).graph, [K3])
+    assert len(calls) == 1
 
 
 def test_adding_edges_never_hurts_coverage():
