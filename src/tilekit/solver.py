@@ -24,16 +24,16 @@ Two solvers deliberately share nothing beyond the Graph type:
   When every class has at least two vertices (a blow-up), the types are the
   homomorphisms of the pattern into the quotient whose fibres fit the
   classes; on any other host they are read off the catalogue restricted to
-  the first h vertices of each class.  The search branches on the lowest
-  free vertex: a type through its class, placed on the lowest free vertices
-  of each class it uses, or skipping the vertex (its whole class when no
-  type through it fits).  A class lists
-  only the types whose singleton-class vertices all lie at or above its
-  least vertex, since no other type can fit while it holds the lowest free
-  vertex.  It cuts a subtree by the bound covered + the best coin sum of
-  pattern sizes within the free count, and by a dominance table of the most
-  covered seen per free mask.  On a host without twins every type is one
-  copy, listed once, at its least vertex.
+  the first h vertices of each class, a class's part only when the search
+  first branches on it.  The search branches on the lowest free vertex: a
+  type through its class, placed on the lowest free vertices of each class
+  it uses, or skipping the vertex (its whole class when no type through it
+  fits).  A class lists only the types whose singleton-class vertices all
+  lie at or above its least vertex, since no other type can fit while it
+  holds the lowest free vertex.  It cuts a subtree by the bound covered +
+  the best coin sum of pattern sizes within the free count, and by a
+  dominance table of the most covered seen per free mask.  On a host
+  without twins every type is one copy, listed once, at its least vertex.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
@@ -46,9 +46,10 @@ Two solvers deliberately share nothing beyond the Graph type:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .graphs import Embedding, Graph, PartitionedGraph, Tiling, iter_bits
 
@@ -196,48 +197,45 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     return plans
 
 
+@lru_cache(maxsize=64)
 def _growth(pattern: Graph):
     """The plans of :func:`_search_plans` for `pattern`, pattern vertices
     taken by descending degree, ties by index, with the map from a key
-    (images in that order) back to an image; what :func:`_least_witnesses`
-    needs of the pattern, worked out once per pattern."""
+    (images in that order) back to an image; what :func:`_chunks` needs of
+    the pattern.  Kept for the last few patterns: a Graph is immutable and
+    hashable, and a few patterns recur across many calls."""
     h = pattern.n
     if h == 0:
         raise ValueError("empty pattern")
     order = sorted(range(h), key=lambda v: (-pattern.degree(v), v))
     # itemgetter returns a bare item, not a 1-tuple, for one index
     to_image = itemgetter(*sorted(range(h), key=order.__getitem__)) if h > 1 else tuple
-    return _search_plans(pattern, order), to_image
+    return tuple(_search_plans(pattern, order)), to_image
 
 
-def _least_witnesses(
-    host: Graph, growth, pool_mask: int, touch_mask: Optional[int]
-) -> Iterator[tuple[int, ...]]:
-    """Yield the witness image of every copy, in the catalogue's order.
+def _chunks(host: Graph, growth, pool_mask: int):
+    """The catalogue on `pool_mask` one chunk at a time, on request.
 
-    `growth` is :func:`_growth` of the pattern.  Chunk by the least image
-    vertex v1, ascending.  Within a chunk, grow each embedding from v1 along
-    the plans, drawing host vertices from the pool above v1 and intersecting
-    neighbourhood masks.  The plans leave one embedding per
-    Aut(pattern)-orbit, and an image set can carry several orbits (a
-    triangle carries three K_{1,2} embeddings), so keep, per image set, the
-    key (images read in (-degree, index) order) that is least; it is the
-    witness.  The last growth step records its candidates in a loop rather
-    than one call each.
+    Returns chunk(v1), the copies whose least image vertex is v1 as a dict
+    from reversed image mask (below) to key; `growth` is :func:`_growth` of
+    the pattern, and its map turns a key into the witness image.  Grow each
+    embedding from v1 along the plans, drawing host vertices from the pool
+    above v1 and intersecting neighbourhood masks.  The plans leave one
+    embedding per Aut(pattern)-orbit, and an image set can carry several
+    orbits (a triangle carries three K_{1,2} embeddings), so keep, per image
+    set, the key (images read in (-degree, index) order) that is least; it
+    is the witness.  The last growth step records its candidates in a loop
+    rather than one call each.
 
-    The chunk's dict is keyed by the *reversed* image mask, bit n-1-v for
-    vertex v.  Among sets of one size the lexicographic order of the sorted
-    sets is descending order of reversed masks, so the chunk is yielded by
-    a plain reverse sort, and `touching` is tested on the reversed mask.
+    A chunk is keyed by the *reversed* image mask, bit n-1-v for vertex v.
+    Among sets of one size the lexicographic order of the sorted sets is
+    descending order of reversed masks, so a chunk is put in the
+    catalogue's order by a plain reverse sort of its keys.
     """
-    plans, to_image = growth
+    plans, _ = growth
     h = len(plans[0])
     n = host.n
     rows = host.rows
-    rtouch = 0
-    if touch_mask is not None:
-        for v in iter_bits(touch_mask):
-            rtouch |= 1 << (n - 1 - v)
     # the current chunk and plan, read by grow; img holds images by slot
     img = [0] * h
     best: dict[int, tuple[int, ...]] = {}
@@ -276,18 +274,15 @@ def _least_witnesses(
                 grow(i + 1, used | low, rused | 1 << (n - top), nxt)
             cand ^= low
 
-    for v1 in iter_bits(pool_mask):
+    def chunk(v1: int) -> dict[int, tuple[int, ...]]:
+        nonlocal avail, best, steps
         avail = pool_mask >> (v1 + 1) << (v1 + 1)
-        if avail.bit_count() < h - 1:
-            return
-        if touch_mask is not None and not (touch_mask & pool_mask) >> v1:
-            return
-        best.clear()
+        best = {}
         for steps in plans:
             grow(0, 0, 0, 1 << v1)
-        for r in sorted(best, reverse=True):
-            if touch_mask is None or r & rtouch:
-                yield to_image(best[r])
+        return best
+
+    return chunk
 
 
 def _vertex_mask(host: Graph, vertices: Iterable[int], name: str) -> int:
@@ -332,13 +327,28 @@ def enumerate_copies(
         _vertex_mask(host, within, "within") if within is not None else (1 << host.n) - 1
     )
     touch_mask = _vertex_mask(host, touching, "touching") if touching is not None else None
+    rtouch = 0  # touch_mask reversed, as chunks are keyed
+    if touch_mask is not None:
+        for v in iter_bits(touch_mask):
+            rtouch |= 1 << (host.n - 1 - v)
+    _, to_image = growth
+    chunk = _chunks(host, growth, pool_mask)
     copies = []
     truncated = False
-    for image in _least_witnesses(host, growth, pool_mask, touch_mask):
-        if cap is not None and len(copies) >= cap:
-            truncated = True
+    for v1 in iter_bits(pool_mask):
+        if (pool_mask >> (v1 + 1)).bit_count() < pg.n - 1:
             break
-        copies.append(Embedding(pg, image, pcls))
+        if touch_mask is not None and not (touch_mask & pool_mask) >> v1:
+            break
+        best = chunk(v1)
+        for r in sorted(best, reverse=True):
+            if touch_mask is None or r & rtouch:
+                if cap is not None and len(copies) >= cap:
+                    truncated = True
+                    break
+                copies.append(Embedding(pg, to_image(best[r]), pcls))
+        if truncated:
+            break
     return CopyCatalog(copies=tuple(copies), truncated=truncated)
 
 
@@ -465,65 +475,133 @@ def _quotient_types(host: Graph, pattern: Graph, classes) -> list[int]:
     return sorted(found, key=lambda mask: list(iter_bits(mask)))
 
 
-def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes) -> list[tuple]:
-    """Every copy type as (size, canonical image mask, witness): larger
-    patterns first, then lexicographic order of the canonical image.  A type
-    two patterns of one size share keeps the first pattern's witness, the
-    least embedding of that pattern onto the canonical image.
+def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
+    """The copy types by class: (the sizes of the patterns with a copy,
+    types_at), types_at(k) listing the types that :func:`max_tiling` tries
+    at class k.
 
-    `classes` is :func:`_twin_classes` of the host.  Two sources give the
-    same table, and the host decides which runs.  When every twin class has
-    at least two vertices, the types come from the quotient
-    (:func:`_quotient_types`) and each witness from :func:`_least_witnesses`
-    on its canonical image, the pattern's growth plans worked out once.  On
-    any other host they come from the catalogue (:func:`enumerate_copies`)
-    restricted to the first min(|class|, h) vertices of each class: a copy
-    is canonical when no unused twin lies before a used one, and the test
-    runs only on copies that touch a twin class.  Either source lists one
-    pattern's types in the order wanted, so only a size shared by patterns
-    is sorted again, stably.
+    A type is listed as (mask on singleton classes, (class mask, count) per
+    larger class, (size, canonical image mask, witness)), in table order:
+    larger patterns first, then lexicographic order of the canonical image.
+    A type two patterns of one size share keeps the first pattern's witness,
+    the least embedding of that pattern onto the canonical image.
+    `classes` is :func:`_twin_classes` of the host.
+
+    A canonical copy starts at a singleton vertex or at the least vertex of
+    a twin class, so class k, with least vertex f, lists the types starting
+    at f, and those starting at the least vertex of a twin class below f
+    that take f and no singleton-class vertex below f.  The types starting
+    at a vertex are wrapped when a class first needs them, and those at a
+    twin class's least vertex are filed then under the later classes that
+    list them; types_at(k) reads every such vertex below f first, in
+    ascending order, so the types filed under f are complete and in order.
+    The host decides, with no parameter, how the types starting at a vertex
+    are found.  When every twin class has at least two vertices, they come
+    from the quotient (:func:`_quotient_types`), each witness from the one
+    chunk of its canonical image.  On any other host they are the canonical
+    copies (no unused twin before a used one) in the chunk of the catalogue
+    on the *pool*, the first min(|class|, h) vertices of each class, since a
+    copy uses at most h twins of a class and any h of them alike.  A pattern
+    has a copy exactly when its pool has one, so the sizes come from reading
+    the classes' least vertices in ascending order up to each pattern's
+    first copy.
     """
-    _, _, below, twins, _ = classes
-    quotient = twins == (1 << host.n) - 1
-    # per pattern size, canonical image mask -> witness
-    types: dict[int, dict[int, Embedding]] = {}
-    merged = set()
-    for p in patterns:
-        pg, pcls = _pattern_parts(p)
-        if pg.n > host.n:
-            continue
-        of_size = types.setdefault(pg.n, {})
-        if of_size:
-            merged.add(pg.n)
+    cls_of, class_mask, below, twins, firsts = classes
+    n = host.n
+    quotient = twins == (1 << n) - 1
+
+    def listed(h: int, canon: int, emb: Embedding) -> tuple:
+        """A type as the class lists hold it."""
+        used: dict[int, int] = {}
+        for w in iter_bits(canon & twins):
+            used[cls_of[w]] = used.get(cls_of[w], 0) + 1
+        parts = tuple((class_mask[i], c) for i, c in used.items())
+        return canon & ~twins, parts, (h, canon, emb)
+
+    def lister(pg: Graph, pcls):
+        """For one pattern: read(v), its types whose canonical copy starts
+        at v, and `filed`, the types read so far by the least vertex of each
+        later class that lists them."""
+        h = pg.n
+        growth = _growth(pg)
+        _, to_image = growth
+        pool = sum(1 << v for v in range(n) if below[v].bit_count() < h)
+        chunk = _chunks(host, growth, pool)
+        quotient_at: dict[int, list[int]] = {}  # start -> canonical masks
         if quotient:
-            growth = _growth(pg)
             for canon in _quotient_types(host, pg, classes):
-                if canon not in of_size:
-                    image = next(_least_witnesses(host, growth, canon, None))
-                    of_size[canon] = Embedding(pg, image, pcls)
-            continue
-        # a copy uses at most h twins of a class, and any h of them alike
-        pool = [v for v in range(host.n) if below[v].bit_count() < pg.n]
-        for emb in enumerate_copies(host, p, within=pool).copies:
-            mask = 0
-            for w in emb.image:
-                mask |= 1 << w
-            if mask & twins:
-                # canonical: no unused twin before a used one
-                for w in emb.image:
-                    if below[w] & ~mask:
-                        break
-                else:
-                    of_size.setdefault(mask, emb)
+                quotient_at.setdefault((canon & -canon).bit_length() - 1, []).append(canon)
+        starting: dict[int, list] = {}
+        filed: dict[int, list] = {}
+
+        def read(v: int) -> list[tuple]:
+            got = starting.get(v)
+            if got is not None:
+                return got
+            got = starting[v] = []
+            if quotient:
+                for canon in quotient_at.get(v, ()):
+                    (key,) = _chunks(host, growth, canon)(v).values()
+                    got.append(listed(h, canon, Embedding(pg, to_image(key), pcls)))
             else:
-                of_size.setdefault(mask, emb)
-    listed = []
-    for size in sorted(types, reverse=True):
-        of_size = types[size].items()
-        if size in merged:
-            of_size = sorted(of_size, key=lambda t: sorted(t[1].image))
-        listed.extend((size, canon, emb) for canon, emb in of_size)
-    return listed
+                best = chunk(v)
+                for r in sorted(best, reverse=True):
+                    image = to_image(best[r])
+                    mask = 0
+                    for w in image:
+                        mask |= 1 << w
+                    if mask & twins and any(below[w] & ~mask for w in image):
+                        continue
+                    got.append(listed(h, mask, Embedding(pg, image, pcls)))
+            if not twins >> v & 1:
+                return got  # a type starting at a singleton vertex is listed there alone
+            for t in got:
+                fixed, _, (_, canon, _) = t
+                # the later classes it uses, up to its least singleton vertex
+                at = canon & firsts & -(2 << v)
+                if fixed:
+                    at &= (fixed & -fixed) * 2 - 1
+                while at:
+                    low = at & -at
+                    filed.setdefault(low.bit_length() - 1, []).append(t)
+                    at ^= low
+            return got
+
+        return h, read, filed
+
+    listers = [lister(pg, pcls) for pg, pcls in map(_pattern_parts, patterns) if pg.n <= n]
+    # copies starting at a later twin are never canonical
+    sizes = {h for h, read, _ in listers if any(read(v) for v in iter_bits(firsts))}
+
+    def types_at(k: int) -> list[tuple]:
+        f = (class_mask[k] & -class_mask[k]).bit_length() - 1
+        # with sizes above, this reads the twin classes' least vertices in
+        # ascending order, so each filed list is in table order
+        earlier = list(iter_bits(firsts & twins & ((1 << f) - 1)))
+        # per size, canonical image mask -> type
+        types: dict[int, dict[int, tuple]] = {}
+        merged = set()
+        for h, read, filed in listers:
+            of_size = types.setdefault(h, {})
+            if of_size:
+                merged.add(h)
+            for v in earlier:
+                read(v)
+            for got in (filed.get(f, ()), read(f)):
+                for t in got:
+                    _, _, (_, canon, _) = t
+                    of_size.setdefault(canon, t)
+        table = []
+        for size in sorted(types, reverse=True):
+            of_size = types[size]
+            if size in merged:  # each pattern's types are in order already
+                canons = sorted(of_size, key=lambda canon: list(iter_bits(canon)))
+                table.extend(of_size[canon] for canon in canons)
+            else:
+                table.extend(of_size.values())
+        return table
+
+    return sizes, types_at
 
 
 def max_tiling(
@@ -543,10 +621,12 @@ def max_tiling(
     has at least two vertices, as on a blow-up, the types are the
     homomorphisms of the pattern into the twin quotient whose fibres fit
     the classes, and no copy is listed.  On any other host they are the
-    canonical copies of :func:`enumerate_copies` restricted to the first
-    min(|class|, h) vertices of each class: a twin-free host is its own
-    quotient, where the homomorphism search meets each copy once per
-    automorphism of the pattern.
+    canonical copies of the catalogue restricted to the first min(|class|,
+    h) vertices of each class: a twin-free host is its own quotient, where
+    the homomorphism search meets each copy once per automorphism of the
+    pattern.  There a class's types are listed when the search first
+    branches on it, so a search that stops after a few branch vertices
+    grows only their part of the catalogue.
 
     Branch vertex = lowest free vertex.  Its options are the types through
     its class that fit the free vertices, each placed on the lowest free
@@ -577,35 +657,14 @@ def max_tiling(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     classes = _twin_classes(host)
-    cls_of, class_mask, below, twins, firsts = classes
+    cls_of, class_mask, below, _, _ = classes
 
-    # per class, the types through it, each as (mask on singleton classes,
-    # (class mask, count) per larger class, (size, canonical mask, witness))
-    types = _copy_types(host, patterns, classes)
-    per_class: list[list] = [[] for _ in class_mask]
-    for opt in types:
-        canon = opt[1]
-        fixed = canon & ~twins
-        parts: tuple = ()
-        if canon & twins:
-            used: dict[int, int] = {}
-            for w in iter_bits(canon & twins):
-                used[cls_of[w]] = used.get(cls_of[w], 0) + 1
-            parts = tuple((class_mask[i], c) for i, c in used.items())
-        entry = (fixed, parts, opt)
-        # listed at the least vertex of each class it uses (a canonical
-        # copy uses it), except above its least singleton vertex, which
-        # is taken whenever such a class holds the lowest free vertex
-        at = canon & firsts
-        if fixed:
-            at &= (fixed & -fixed) * 2 - 1
-        while at:
-            low = at & -at
-            per_class[cls_of[low.bit_length() - 1]].append(entry)
-            at ^= low
+    sizes, types_at = _copy_types(host, patterns, classes)
+    # per class, types_at(k) from the first visit that branches there
+    per_class: list[Optional[list]] = [None] * len(class_mask)
 
     # best coverable total from m free vertices, ignoring adjacency
-    sizes = sorted({opt[0] for opt in types})
+    sizes = sorted(sizes)
     fit = [0] * (host.n + 1)
     for m in range(1, host.n + 1):
         best = fit[m - 1]
@@ -643,8 +702,11 @@ def max_tiling(
             if len(dominance) < room:
                 dominance[free] = covered
             k = cls_of[(free & -free).bit_length() - 1]
+            listed = per_class[k]
+            if listed is None:
+                listed = per_class[k] = types_at(k)
             fits = []
-            for fixed, parts, opt in per_class[k]:
+            for fixed, parts, opt in listed:
                 if fixed & free == fixed:
                     taken = _take_twins(free, fixed, parts) if parts else fixed
                     if taken:

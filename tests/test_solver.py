@@ -202,8 +202,10 @@ def test_half_dense_catalog_is_pinned(pattern, count, digest):
 
 
 def test_twin_pool_catalog_is_pinned():
-    # the call max_tiling makes on a Lemma 6.2 host: the pool is the first
-    # h twins of each class
+    # a pool of the first h twins of each class, as pooled_types below
+    # lists it (max_tiling grows such a pool chunk by chunk on hosts with a
+    # singleton class, and takes this Lemma 6.2 host's types from the
+    # quotient)
     bottle = bottle_graph(3, 1, 2)
     host = lemma62_perfect_tiling("Kr", bottle, 2).host.graph
     seen: dict[int, int] = {}  # row -> twins met so far
@@ -522,10 +524,32 @@ def pooled_types(host: Graph, patterns) -> list:
     ]
 
 
-def table_types(host: Graph, patterns) -> list:
-    """The type table max_tiling searches, in the form of pooled_types."""
-    table = solver._copy_types(host, patterns, solver._twin_classes(host))
-    return [(list(iter_bits(canon)), emb.pattern, emb.image) for _, canon, emb in table]
+def pooled_types_by_class(host: Graph, patterns) -> list:
+    """pooled_types split as max_tiling lists them: the class with least
+    vertex f (classes numbered by least vertex) gets the types whose
+    canonical image holds f and no singleton-class vertex below f."""
+    counts = Counter(host.rows)
+    lonely = {v for v, row in enumerate(host.rows) if counts[row] == 1}
+    seen = set()
+    firsts = [v for v, row in enumerate(host.rows) if not (row in seen or seen.add(row))]
+    table = pooled_types(host, patterns)
+    return [
+        [t for t in table if f in t[0] and not any(w < f for w in t[0] if w in lonely)]
+        for f in firsts
+    ]
+
+
+def class_types(host: Graph, patterns) -> list:
+    """The types max_tiling lists at each class, in the form of
+    pooled_types_by_class.  The lists are asked for from the last class to
+    the first, so each is built before any class below it is listed."""
+    classes = solver._twin_classes(host)
+    _, types_at = solver._copy_types(host, patterns, classes)
+    listed = {k: types_at(k) for k in reversed(range(len(classes[1])))}
+    return [
+        [(list(iter_bits(canon)), emb.pattern, emb.image) for *_, (_, canon, emb) in listed[k]]
+        for k in range(len(classes[1]))
+    ]
 
 
 def takes_the_quotient(host: Graph) -> bool:
@@ -549,7 +573,7 @@ def test_quotient_types_match_the_pooled_catalogue(host: Graph, patterns):
     # two patterns of one size (K3 with K_{1,2}) share types, and the
     # first pattern's witness wins each shared one
     assert takes_the_quotient(host)
-    assert table_types(host, patterns) == pooled_types(host, patterns)
+    assert class_types(host, patterns) == pooled_types_by_class(host, patterns)
 
 
 def line_host(name: str, x: Fraction, n0: int, t: int) -> Graph:
@@ -571,16 +595,17 @@ def test_line_host_types_match_the_pooled_catalogue(name, x, n0, t, count):
     pattern = pattern_by_name(name)
     small = line_host(name, x, n0, 2)
     assert takes_the_quotient(small)
-    types = table_types(small, [pattern])
-    assert types == pooled_types(small, [pattern])
-    assert len(types) == count
-    # the same types at the Baseline's factor, where the pool is too slow
+    assert class_types(small, [pattern]) == pooled_types_by_class(small, [pattern])
+    assert len(pooled_types(small, [pattern])) == count
+    # as many types at the Baseline's factor, where the pool is too slow;
+    # each is listed at the class of its least vertex
     host = line_host(name, x, n0, t)
-    assert len(table_types(host, [pattern])) == count
+    listed = {tuple(t[0]) for types in class_types(host, [pattern]) for t in types}
+    assert len(listed) == count
 
 
-def test_singleton_classes_keep_the_pooled_catalogue(monkeypatch):
-    # one twin class of one vertex sends the host to the catalogue
+def test_singleton_classes_skip_the_quotient(monkeypatch):
+    # one twin class of one vertex sends the host to the on-demand listing
     calls = []
     quotient_types = solver._quotient_types
 
@@ -593,6 +618,67 @@ def test_singleton_classes_keep_the_pooled_catalogue(monkeypatch):
     assert calls == []
     max_tiling(complete_multipartite([2, 2, 2]).graph, [K3])
     assert len(calls) == 1
+
+
+# Petersen minus a vertex holds C5 but no triangle
+PETERSEN_9 = PETERSEN.induced(range(9))[0]
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    st.one_of(coin_hosts(max_n=9), blow_ups(max_n=14)),
+    st.lists(st.sampled_from(TYPE_PATTERNS), min_size=1, max_size=3),
+)
+@example(complete_multipartite([2, 1, 2]).graph, [K3, K12])
+@example(complete_multipartite([2, 1, 2]).graph, [K12, K3])
+@example(PETERSEN_9, [K3, C5])
+def test_types_listed_on_demand_match_the_pooled_catalogue(host: Graph, patterns):
+    # each class's list, built when asked for, is the pooled table's types
+    # listed there, in table order; a pattern with no copy adds no size.  In
+    # K_{2,1,2} the triangles through the singleton 2 are listed at classes
+    # {0, 1} and {2}, not at {3, 4}.
+    assert class_types(host, patterns) == pooled_types_by_class(host, patterns)
+    sizes, _ = solver._copy_types(host, patterns, solver._twin_classes(host))
+    assert sizes == {len(t[0]) for t in pooled_types(host, patterns)}
+
+
+def test_search_grows_only_the_chunks_it_branches_on(monkeypatch):
+    # the pinned twin-free C5 host: 6 of its 15 vertices are branched on,
+    # and only their chunks of the catalogue are grown, each once
+    host = seeded_host(3, 15, 0.5)
+    grown = []
+    chunks = solver._chunks
+
+    def counted(*args):
+        chunk = chunks(*args)
+
+        def counted_chunk(v):
+            grown.append(v)
+            return chunk(v)
+
+        return counted_chunk
+
+    monkeypatch.setattr(solver, "_chunks", counted)
+    result = max_tiling(host, [C5])
+    assert result.nodes == TWIN_FREE_NODES[3]
+    assert grown == [0, 4, 5, 3, 6, 2]
+    assert len(grown) < host.n
+
+
+def test_mixed_class_hosts_are_pinned():
+    # ex3 for K3 at n = 18: twin classes of 1, 8 and 9 vertices
+    host = extremal_three(K3, 18, Fraction(1, 3), Fraction(1, 18)).graph
+    assert sorted(Counter(host.rows).values()) == [1, 8, 9]
+    result = max_tiling(host, [K3])
+    assert result.proven_optimal
+    assert (result.covered_count, result.nodes) == (3, 3)
+    assert [list(emb.image) for emb in result.tiling.embeddings] == [[0, 1, 10]]
+    # no triangle: the coin-sum bound counts only C5, so the first C5 meets
+    # the root bound of 5 and the search stops after 2 nodes
+    result = max_tiling(PETERSEN_9, [K3, C5])
+    assert result.proven_optimal
+    assert (result.covered_count, result.nodes) == (5, 2)
+    assert [list(emb.image) for emb in result.tiling.embeddings] == [[0, 1, 2, 3, 4]]
 
 
 def test_adding_edges_never_hurts_coverage():
