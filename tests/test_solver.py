@@ -177,6 +177,103 @@ def test_catalog_matches_subset_reference(host, pattern, cap, data):
     assert cat.truncated == truncated
 
 
+@st.composite
+def weighted_coin_hosts(draw: st.DrawFn, min_n: int, max_n: int) -> Graph:
+    """Each pair an edge by its own coin with a drawn bias: hosts large and
+    dense enough that a chunk holds thousands of copies."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    p = draw(st.sampled_from([0.3, 0.4, 0.5, 0.6, 0.7]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(
+    weighted_coin_hosts(16, 28),
+    st.sampled_from(DIFFERENTIAL_PATTERNS),
+    st.sampled_from([0, 1, 2, 5]),
+    st.data(),
+)
+def test_capped_queries_match_the_uncapped_catalogue(host, pattern, cap, data):
+    # a capped query grows its chunks by branch and bound; the uncapped
+    # catalogue, filtered and cut here, is what it must reproduce
+    within = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), min_size=12, unique=True))
+    touching = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), max_size=4, unique=True))
+    cat = enumerate_copies(host, pattern, cap, within=within, touching=touching)
+    images = [emb.image for emb in enumerate_copies(host, pattern, within=within).copies]
+    if touching is not None:
+        images = [image for image in images if set(image) & set(touching)]
+    assert [emb.image for emb in cat.copies] == images[:cap]
+    assert cat.truncated == (len(images) > cap)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    weighted_coin_hosts(6, 18),
+    st.sampled_from(DIFFERENTIAL_PATTERNS),
+    st.integers(min_value=0, max_value=6),
+    st.data(),
+)
+def test_bounded_chunks_are_the_first_of_the_chunk(host, pattern, m, data):
+    # chunk(v1, m) holds the first m sets of chunk(v1) that meet touch_mask,
+    # keyed alike; with m = 0, one of them when there is any.  The m-th set
+    # and its key are checked too, which enumerate_copies never returns.
+    pg = getattr(pattern, "graph", pattern)
+    if pg.n > host.n:
+        return
+    touching = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), max_size=4, unique=True))
+    touch_mask = None if touching is None else sum(1 << v for v in touching)
+    growth = solver._growth(pg)
+    full = solver._chunks(host, growth, (1 << host.n) - 1)
+    bounded = solver._chunks(host, growth, (1 << host.n) - 1, touch_mask)
+    for v1 in range(host.n):
+        chunk = full(v1)
+        meeting = [
+            r for r in sorted(chunk, reverse=True)
+            if touch_mask is None or any(r >> (host.n - 1 - v) & 1 for v in touching)
+        ]
+        got = bounded(v1, m)
+        if m:
+            assert got == {r: chunk[r] for r in meeting[:m]}
+        else:
+            assert len(got) == min(1, len(meeting)) and set(got) <= set(meeting)
+
+
+@pytest.mark.parametrize(
+    "n, witness", [(60, [0, 36, 4, 16, 37]), (100, [0, 60, 6, 26, 61])]
+)
+def test_ex2_c5_witness_is_pinned_at_scale(n, witness):
+    # the first copy through V' is the first of its chunk's 530,400 at
+    # n = 100, and is found without growing the rest
+    inst = extremal_two(C5, n, Fraction(1, 20))
+    cat = enumerate_copies(inst.host.graph, C5, cap=1, touching=inst.v_prime)
+    assert [list(emb.image) for emb in cat.copies] == [witness]
+    assert cat.truncated
+
+
+def c5_line_host(n: int) -> Graph:
+    return generate_satisfying_instance(x_line(chromatic_data(C5), Fraction(1, 2)), n, 1)
+
+
+@pytest.mark.parametrize("n, image", [(40, (0, 2, 4, 1, 5)), (60, (0, 2, 1, 6, 3))])
+def test_x_line_c5_query_is_pinned(n, image):
+    cat = enumerate_copies(c5_line_host(n), C5, cap=1, touching=[0])
+    assert [emb.image for emb in cat.copies] == [image]
+    assert cat.truncated
+
+
+def test_x_line_c5_query_matches_subset_reference_at_scale():
+    # chunk 0 of this 150-vertex host takes minutes to grow whole; the
+    # reference reaches its first three copies after about 23,000 subsets
+    host = c5_line_host(150)
+    cat = enumerate_copies(host, C5, 2, touching=[0])
+    images, truncated = reference_copies(host, C5, 2, touching=[0])
+    assert [emb.image for emb in cat.copies] == images
+    assert cat.truncated == truncated
+    # cap=0 stops at the first copy it grows
+    assert enumerate_copies(host, C5, 0, touching=[0]) == CopyCatalog((), truncated=True)
+
+
 def _image_digest(cat: CopyCatalog) -> str:
     return hashlib.sha256(repr([emb.image for emb in cat.copies]).encode()).hexdigest()
 
