@@ -375,41 +375,51 @@ def multipartite_classes(g: Graph) -> Optional[list[tuple[int, ...]]]:
 # ---------------------------------------------------------------------------
 
 
+def _is_count(text: str) -> bool:
+    """Whether `text` is a run of ASCII digits.  str.isdigit alone also
+    takes other digits, such as Arabic-Indic or superscript ones, which
+    int() then reads or rejects without naming the line."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_graph(text: str) -> Graph:
     """Parse either the edge-list format (first line n, then "u v" lines) or a
-    graph6 string. A leading all-digit line selects the edge-list reader."""
+    graph6 string. A leading line of ASCII digits selects the edge-list reader."""
     stripped = text.strip()
     if not stripped:
         raise GraphParseError("empty input")
     if stripped.startswith(">>graph6<<"):
         return graph6_decode(stripped[len(">>graph6<<") :].strip())
     first = stripped.splitlines()[0].strip()
-    if first.isdigit():
+    if _is_count(first):
         return parse_edge_list(text)
     return graph6_decode(stripped)
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    n = None
-    edges = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if n is None:
-            if not line.isdigit():
-                raise GraphParseError(f"line {lineno}: expected vertex count, got {line!r}")
-            n = int(line)
-            continue
-        parts = line.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if n is None:
+    """Read the edge-list format.  The edges are parsed as Graph consumes
+    them, so no list of them is built."""
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
+        count = raw.strip()
+        if count:
+            break
+    else:
         raise GraphParseError("missing vertex count line")
+    if not _is_count(count):
+        raise GraphParseError(f"line {lineno}: expected vertex count, got {count!r}")
+
+    def edges() -> Iterator[tuple[int, int]]:
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 2 or not all(map(_is_count, parts)):
+                raise GraphParseError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
+            yield int(parts[0]), int(parts[1])
+
     try:
-        return Graph(n, edges)
+        return Graph(int(count), edges())
     except ValueError as exc:
         raise GraphParseError(str(exc)) from exc
 

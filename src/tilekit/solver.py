@@ -140,19 +140,6 @@ def _automorphism_extends(pattern: Graph, fixed: Sequence[tuple[int, int]]) -> b
     return rec(0)
 
 
-def _growth_order(pattern: Graph, root: int) -> list[int]:
-    """The pattern's vertices from `root`, each next one with the most placed
-    neighbours, then the highest degree, then the lowest index."""
-    rows = pattern.rows
-    seq = [root]
-    while len(seq) < pattern.n:
-        seq.append(max(
-            (v for v in range(pattern.n) if v not in seq),
-            key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
-        ))
-    return seq
-
-
 def _search_plans(pattern: Graph, order: Sequence[int]):
     """Rooted growth plans that meet each Aut(pattern)-orbit once.
 
@@ -167,13 +154,14 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     the least of them per set.
 
     One plan per root, a pattern vertex allowed to carry the least image
-    vertex.  A plan lists the pattern vertices in :func:`_growth_order`
-    from its root.  Each step names the vertex placed by its *slot*, its
+    vertex.  A plan lists the pattern vertices from its root, each next one
+    with the most placed neighbours, then the highest degree, then the
+    lowest index.  Each step names the vertex placed by its *slot*, its
     position in `order`, and the slots of the earlier vertices it must be
     adjacent to, lie above and lie below.  A plan comes as (steps, ahead):
     ahead[i] holds the same three slot lists for each step after step i, cut
-    to the slots placed up to step i, which is what a bounded search
-    (:func:`_chunks`) knows of where the later steps can go.
+    to the slots placed up to step i, which is what the search with cuts
+    in :func:`_chunks` knows of where the later steps can go.
     """
     rows = pattern.rows
     pairs = [
@@ -197,7 +185,12 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     for root in order:
         if root in above:
             continue
-        seq = _growth_order(pattern, root)
+        seq = [root]
+        while len(seq) < pattern.n:
+            seq.append(max(
+                (v for v in range(pattern.n) if v not in seq),
+                key=lambda v: (sum(rows[v] >> p & 1 for p in seq), rows[v].bit_count(), -v),
+            ))
         steps = tuple((slot[v], *ties(v, seq[:i])) for i, v in enumerate(seq))
         ahead = tuple(
             tuple(ties(w, seq[: i + 1]) for w in seq[i + 1 :]) for i in range(len(seq))
@@ -241,23 +234,27 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
     descending order of reversed masks, so a chunk is put in the
     catalogue's order by a plain reverse sort of its keys.
 
-    chunk(v1, m) is the bounded mode: only the first m sets of the chunk in
-    that order (the m largest reversed masks) that meet `touch_mask`, each
-    with its least key, grown by branch and bound (Land & Doig 1960) on the
-    same plans.  Once m sets are held, a partial embedding is cut when its
-    bound is below the least of them.  Each later step takes one vertex of
-    its candidate set (the free pool cut by the rows of its placed
-    neighbours and by the symmetry constraints on placed slots), so the
-    t-th lowest vertex a completion adds is at least the t-th lowest of
-    those sets' least vertices, and lies in their union U.  The bound is
+    A chunk holds only its sets that meet `touch_mask` (all of them when
+    it is None), and chunk(v1, m) only the first m of them in that order
+    (the m largest reversed masks), each with its least key.  grow builds
+    chunk(v1) when every set of it meets `touch_mask`, which is when v1
+    does; otherwise seek grows the chunk on the same plans, with cuts.
+    Each later step takes one vertex of its candidate set (the free pool
+    cut by the rows of its placed neighbours and by the symmetry
+    constraints on placed slots), and a completion's new vertices lie in
+    the union U of those sets.  A partial embedding is cut when a later
+    step has no candidate, or when it misses `touch_mask` and so does U.
+    With m, seek is also a branch and bound (Land & Doig 1960): once m
+    sets are held, a partial embedding is cut when its bound is below the
+    least of them.  The t-th lowest vertex a completion adds is at least
+    the t-th lowest of the candidate sets' least vertices, so the bound is
     the reversed mask of the placed vertices plus, for t = 1, 2, ..., the
     lowest vertex of U above the one taken for t - 1 and at or above that
     t-th least vertex.  A bound equal to the least held set is not cut,
-    since the embedding may still give a held set a smaller key.  A partial
-    embedding is also cut when a later step has no candidate, or when it
-    misses `touch_mask` and so does U.  With m = 0 the search stops at the
-    first complete embedding that meets `touch_mask` and returns its set
-    alone, under that embedding's key: whether the chunk has any.
+    since the embedding may still give a held set a smaller key.  With
+    m = 0 seek stops at the first complete embedding that meets
+    `touch_mask` and returns its set alone, under that embedding's key:
+    whether the chunk has any.
     """
     plans, _ = growth
     h = len(plans[0][0])
@@ -271,8 +268,8 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
     ahead: tuple = ()
     last = h - 1
     # for seek: touch_mask plain and reversed (all bits without one), the
-    # sets wanted, a heap of the reversed masks held, the least of them
-    # once m are held
+    # sets wanted (None: all), a heap of the reversed masks held, the least
+    # of them once m are held
     touch = rtouch = -1
     if touch_mask is not None:
         touch, rtouch = touch_mask, 0
@@ -314,7 +311,7 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
             cand ^= low
 
     def seek(i: int, used: int, rused: int, cand: int) -> bool:
-        """grow for chunk(v1, m), with the cuts; True once m = 0 is answered."""
+        """grow with the cuts; True once m = 0 is answered."""
         nonlocal floor
         s = steps[i][0]
         if i == last:
@@ -331,14 +328,15 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
                 old = best.get(r)
                 if old is None:
                     best[r] = key
-                    if not want:
+                    if want == 0:
                         return True
-                    if len(held) < want:
-                        heappush(held, r)
-                    else:
-                        del best[heapreplace(held, r)]
-                    if len(held) == want:
-                        floor = held[0]
+                    if want:  # None without a cap: no heap, no floor
+                        if len(held) < want:
+                            heappush(held, r)
+                        else:
+                            del best[heapreplace(held, r)]
+                        if len(held) == want:
+                            floor = held[0]
                 elif key < old:
                     best[r] = key
                 cand ^= low
@@ -388,7 +386,7 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
         nonlocal avail, best, steps, ahead, want, held, floor
         avail = pool_mask >> (v1 + 1) << (v1 + 1)
         best = {}
-        if m is None:
+        if m is None and touch >> v1 & 1:  # every set meets touch_mask
             for steps, _ in plans:
                 grow(0, 0, 0, 1 << v1)
             return best
@@ -428,14 +426,14 @@ def enumerate_copies(
         "does any copy pass through V?" and names the first such copy.
 
     Copies are grown one chunk at a time, a chunk being the copies with one
-    least vertex.  Without a cap each chunk is grown whole.  With one, each
-    chunk is asked only for as many of its copies as are still wanted, plus
-    one to decide ``truncated``, and a branch and bound on the catalogue
-    order stops growing it once no other embedding can come earlier
-    (:func:`_chunks`); ``cap=0`` stops at the first copy it grows.  So a
-    capped query costs a small part of its chunk: on a 150-vertex host
-    whose chunk 0 takes minutes to grow whole, the first C5 through vertex
-    0 takes under 0.1 s.
+    least vertex, and with `touching` a partial copy is dropped once it can
+    no longer meet that set (:func:`_chunks`).  With a cap, each chunk is
+    asked only for as many of its copies as are still wanted, plus one to
+    decide ``truncated``, and a branch and bound on the catalogue order
+    stops growing it once no other embedding can come earlier; ``cap=0``
+    stops at the first copy it grows.  So a capped query costs a small part
+    of its chunk: on a 150-vertex host whose chunk 0 takes minutes to grow
+    whole, the first C5 through vertex 0 takes under 0.1 s.
 
     Vertices of `within` or `touching` outside the host raise ValueError.
     Order and witnesses are as described on :class:`CopyCatalog`.
@@ -448,10 +446,6 @@ def enumerate_copies(
         _vertex_mask(host, within, "within") if within is not None else (1 << host.n) - 1
     )
     touch_mask = _vertex_mask(host, touching, "touching") if touching is not None else None
-    rtouch = 0  # touch_mask reversed, as chunks are keyed
-    if touch_mask is not None:
-        for v in iter_bits(touch_mask):
-            rtouch |= 1 << (host.n - 1 - v)
     _, to_image = growth
     chunk = _chunks(host, growth, pool_mask, touch_mask)
     copies = []
@@ -463,17 +457,14 @@ def enumerate_copies(
             break
         if cap is None:
             best = chunk(v1)
-            rs = sorted(best, reverse=True)
-            if touch_mask is not None:
-                rs = [r for r in rs if r & rtouch]
         else:
             # one set past the cap tells whether the catalogue goes on
             room = cap - len(copies)
             best = chunk(v1, room + 1 if room else 0)
-            rs = sorted(best, reverse=True)
-            if len(rs) > room:
-                truncated = True
-                del rs[room:]
+        rs = sorted(best, reverse=True)
+        if cap is not None and len(rs) > room:
+            truncated = True
+            del rs[room:]
         copies.extend(Embedding(pg, to_image(best[r]), pcls) for r in rs)
         if truncated:
             break
@@ -551,38 +542,41 @@ def _twin_classes(host: Graph):
     return cls_of, class_mask, below, twins, firsts
 
 
-def _quotient_types(host: Graph, pattern: Graph, classes) -> list[int]:
-    """The canonical image masks of the copy types of `pattern`, in
-    lexicographic order of the sorted canonical image.
+def _quotient_types(host: Graph, pattern: Graph, classes) -> dict[int, list[int]]:
+    """The canonical image masks of the copy types of `pattern`, by the
+    least vertex of the mask, each list in lexicographic order of the sorted
+    canonical image.
 
     A copy type is a homomorphism of the pattern into the twin quotient
     (one vertex per class, two adjacent when the classes are joined) whose
     fibres fit the classes: a fibre's pattern vertices go to distinct twins,
     which no pattern edge joins, since the quotient has no loops.  Its
     canonical copy takes the first c_i vertices of each class i, c_i the
-    fibre's size.  The search places the pattern's vertices in a connected
-    order, each on a class joined to the classes of its placed neighbours (an
-    intersection of host rows on the least vertex of each class), and records
-    the canonical mask of every complete map; several maps give one type.
-    `classes` is :func:`_twin_classes` of the host.
+    fibre's size.  The search places the pattern's vertices along the
+    steps of the first plan of :func:`_growth`, each on a class joined to
+    the classes of its placed neighbours (an intersection of host rows on
+    the least vertex of each class), without the plan's symmetry
+    constraints, and records the canonical mask of every complete map;
+    several maps give one type.  `classes` is :func:`_twin_classes` of the
+    host.
     """
     cls_of, class_mask, _, _, firsts = classes
-    h = pattern.n
-    prows = pattern.rows
-    seq = _growth_order(pattern, max(range(h), key=lambda v: (prows[v].bit_count(), -v)))
-    back = [tuple(j for j in range(i) if prows[seq[i]] >> seq[j] & 1) for i in range(h)]
+    plans, _ = _growth(pattern)
+    steps, _ = plans[0]  # rooted at the highest degree, lowest index
+    h = len(steps)
     rows = host.rows
     # per class, its first min(|class|, h) vertices as bits
     nth = [[1 << v for v in islice(iter_bits(mask), h)] for mask in class_mask]
-    at = [0] * h  # the least vertex of the class of each placed vertex
+    at = [0] * h  # by slot, the least vertex of the class of each placed vertex
     used = [0] * len(class_mask)
     found: set[int] = set()
     last = h - 1
 
     def place(i: int, canon: int) -> None:
+        s, nbrs, _, _ = steps[i]
         cand = firsts
-        for j in back[i]:
-            cand &= rows[at[j]]
+        for p in nbrs:
+            cand &= rows[at[p]]
         while cand:
             low = cand & -cand
             cand ^= low
@@ -595,12 +589,15 @@ def _quotient_types(host: Graph, pattern: Graph, classes) -> list[int]:
                 found.add(canon | nth[k][c])
             else:
                 used[k] = c + 1
-                at[i] = v
+                at[s] = v
                 place(i + 1, canon | nth[k][c])
                 used[k] = c
 
     place(0, 0)
-    return sorted(found, key=lambda mask: list(iter_bits(mask)))
+    by_start: dict[int, list[int]] = {}
+    for canon in sorted(found, key=lambda mask: list(iter_bits(mask))):
+        by_start.setdefault((canon & -canon).bit_length() - 1, []).append(canon)
+    return by_start
 
 
 def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
@@ -615,24 +612,21 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     the least embedding of that pattern onto the canonical image.
     `classes` is :func:`_twin_classes` of the host.
 
-    A canonical copy starts at a singleton vertex or at the least vertex of
-    a twin class, so class k, with least vertex f, lists the types starting
-    at f, and those starting at the least vertex of a twin class below f
-    that take f and no singleton-class vertex below f.  The types starting
-    at a vertex are wrapped when a class first needs them, and those at a
-    twin class's least vertex are filed then under the later classes that
-    list them; types_at(k) reads every such vertex below f first, in
-    ascending order, so the types filed under f are complete and in order.
-    The host decides, with no parameter, how the types starting at a vertex
-    are found.  When every twin class has at least two vertices, they come
-    from the quotient (:func:`_quotient_types`), each witness from the one
-    chunk of its canonical image.  On any other host they are the canonical
+    Class k, with least vertex f, lists the types whose canonical image
+    holds f and no singleton-class vertex below f.  A canonical copy starts
+    at a singleton vertex or at the least vertex of a twin class, so
+    types_at(k) reads the types starting at each twin class's least vertex
+    below f and at f, in ascending order, and keeps those that pass that
+    rule.  The types starting at a vertex are wrapped when a class first
+    reads them.  The host decides, with no parameter, how they are found.
+    When every twin class has at least two vertices, they come from the
+    quotient (:func:`_quotient_types`), each witness from the one chunk of
+    its canonical image.  On any other host they are the canonical
     copies (no unused twin before a used one) in the chunk of the catalogue
     on the *pool*, the first min(|class|, h) vertices of each class, since a
     copy uses at most h twins of a class and any h of them alike.  A pattern
     has a copy exactly when its pool has one, so the sizes come from reading
-    the classes' least vertices in ascending order up to each pattern's
-    first copy.
+    the classes' least vertices up to each pattern's first copy.
     """
     cls_of, class_mask, below, twins, firsts = classes
     n = host.n
@@ -648,19 +642,14 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
 
     def lister(pg: Graph, pcls):
         """For one pattern: read(v), its types whose canonical copy starts
-        at v, and `filed`, the types read so far by the least vertex of each
-        later class that lists them."""
+        at v."""
         h = pg.n
         growth = _growth(pg)
         _, to_image = growth
         pool = sum(1 << v for v in range(n) if below[v].bit_count() < h)
         chunk = _chunks(host, growth, pool)
-        quotient_at: dict[int, list[int]] = {}  # start -> canonical masks
-        if quotient:
-            for canon in _quotient_types(host, pg, classes):
-                quotient_at.setdefault((canon & -canon).bit_length() - 1, []).append(canon)
+        quotient_at = _quotient_types(host, pg, classes) if quotient else {}
         starting: dict[int, list] = {}
-        filed: dict[int, list] = {}
 
         def read(v: int) -> list[tuple]:
             got = starting.get(v)
@@ -681,44 +670,32 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
                     if mask & twins and any(below[w] & ~mask for w in image):
                         continue
                     got.append(listed(h, mask, Embedding(pg, image, pcls)))
-            if not twins >> v & 1:
-                return got  # a type starting at a singleton vertex is listed there alone
-            for t in got:
-                fixed, _, (_, canon, _) = t
-                # the later classes it uses, up to its least singleton vertex
-                at = canon & firsts & -(2 << v)
-                if fixed:
-                    at &= (fixed & -fixed) * 2 - 1
-                while at:
-                    low = at & -at
-                    filed.setdefault(low.bit_length() - 1, []).append(t)
-                    at ^= low
             return got
 
-        return h, read, filed
+        return h, read
 
     listers = [lister(pg, pcls) for pg, pcls in map(_pattern_parts, patterns) if pg.n <= n]
     # copies starting at a later twin are never canonical
-    sizes = {h for h, read, _ in listers if any(read(v) for v in iter_bits(firsts))}
+    sizes = {h for h, read in listers if any(read(v) for v in iter_bits(firsts))}
 
     def types_at(k: int) -> list[tuple]:
         f = (class_mask[k] & -class_mask[k]).bit_length() - 1
-        # with sizes above, this reads the twin classes' least vertices in
-        # ascending order, so each filed list is in table order
-        earlier = list(iter_bits(firsts & twins & ((1 << f) - 1)))
+        lower = (1 << f) - 1
+        earlier = list(iter_bits(firsts & twins & lower))
         # per size, canonical image mask -> type
         types: dict[int, dict[int, tuple]] = {}
         merged = set()
-        for h, read, filed in listers:
+        for h, read in listers:
             of_size = types.setdefault(h, {})
             if of_size:
                 merged.add(h)
             for v in earlier:
-                read(v)
-            for got in (filed.get(f, ()), read(f)):
-                for t in got:
-                    _, _, (_, canon, _) = t
-                    of_size.setdefault(canon, t)
+                for t in read(v):
+                    fixed, _, (_, canon, _) = t
+                    if canon >> f & 1 and not fixed & lower:
+                        of_size.setdefault(canon, t)
+            for t in read(f):  # every type starting at f passes
+                of_size.setdefault(t[2][1], t)
         table = []
         for size in sorted(types, reverse=True):
             of_size = types[size]

@@ -178,6 +178,21 @@ def test_parse_graph_rejects_garbage():
         parse_edge_list("   \n  \n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        # str.isdigit takes these, and int() reads '٣' as 3 and rejects '¹'
+        (parse_graph, "٣\n0 1\n", "graph6 string has characters outside"),
+        (parse_edge_list, "٣\n0 1\n", "line 1: expected vertex count"),
+        (parse_graph, "3\n0 ¹\n", "line 2: expected 'u v'"),
+        (parse_edge_list, "3\n\n٠ 1\n", "line 3: expected 'u v'"),
+    ],
+)
+def test_edge_lists_take_ascii_digits_only(parse, text, message):
+    with pytest.raises(GraphParseError, match=message):
+        parse(text)
+
+
 def test_graph6_large_size_field():
     g = Graph(100, [(0, 99)])
     assert graph6_decode(nx_graph6(g)) == g

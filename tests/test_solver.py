@@ -191,12 +191,13 @@ def weighted_coin_hosts(draw: st.DrawFn, min_n: int, max_n: int) -> Graph:
 @given(
     weighted_coin_hosts(16, 28),
     st.sampled_from(DIFFERENTIAL_PATTERNS),
-    st.sampled_from([0, 1, 2, 5]),
+    st.sampled_from([None, 0, 1, 2, 5]),
     st.data(),
 )
 def test_capped_queries_match_the_uncapped_catalogue(host, pattern, cap, data):
-    # a capped query grows its chunks by branch and bound; the uncapped
-    # catalogue, filtered and cut here, is what it must reproduce
+    # a capped query, or an uncapped one through `touching`, grows its
+    # chunks with cuts; the catalogue without `touching`, filtered and cut
+    # here, is what it must reproduce
     within = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), min_size=12, unique=True))
     touching = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), max_size=4, unique=True))
     cat = enumerate_copies(host, pattern, cap, within=within, touching=touching)
@@ -204,7 +205,7 @@ def test_capped_queries_match_the_uncapped_catalogue(host, pattern, cap, data):
     if touching is not None:
         images = [image for image in images if set(image) & set(touching)]
     assert [emb.image for emb in cat.copies] == images[:cap]
-    assert cat.truncated == (len(images) > cap)
+    assert cat.truncated == (cap is not None and len(images) > cap)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=150)
