@@ -50,7 +50,7 @@ from .graphs import (
     Tiling,
     VertexOrdering,
     bottle_graph,
-    emit_edge_list,
+    edge_list_lines,
     is_valid_tiling,
     parse_graph,
 )
@@ -263,7 +263,7 @@ def cmd_construct(args) -> int:
     params = read_params(args.family, _load_json_arg(args.params))
     graph, sidecar = _CONSTRUCTORS[args.family](params)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(emit_edge_list(graph))
+        fh.writelines(edge_list_lines(graph))
     sidecar_path = args.out + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)

@@ -424,10 +424,16 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(str(exc)) from exc
 
 
+def edge_list_lines(g: Graph) -> Iterator[str]:
+    """The lines of g's edge list, each with its newline: the vertex count,
+    then "u v" per edge, made one at a time so that a file can be written
+    without holding all of it."""
+    yield f"{g.n}\n"
+    yield from (f"{u} {v}\n" for u, v in g.edges())
+
+
 def emit_edge_list(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+    return "".join(edge_list_lines(g))
 
 
 def graph6_decode(s: str) -> Graph:

@@ -34,6 +34,7 @@ Two solvers deliberately share nothing beyond the Graph type:
   the best coin sum of pattern sizes within the free count, and by a
   dominance table of the most covered seen per free mask.  On a host
   without twins every type is one copy, listed once, at its least vertex.
+  A type's witness is built only when the returned tiling places the type.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
@@ -606,10 +607,11 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     at class k.
 
     A type is listed as (mask on singleton classes, (class mask, count) per
-    larger class, (size, canonical image mask, witness)), in table order:
-    larger patterns first, then lexicographic order of the canonical image.
-    A type two patterns of one size share keeps the first pattern's witness,
-    the least embedding of that pattern onto the canonical image.
+    larger class, (size, canonical image mask, (pattern, classes, growth),
+    key)), in table order: larger patterns first, then lexicographic order
+    of the canonical image.  :func:`_witness` builds from the last item the
+    witness, the least embedding of the pattern onto the canonical image; a
+    type two patterns of one size share keeps the first pattern's.
     `classes` is :func:`_twin_classes` of the host.
 
     Class k, with least vertex f, lists the types whose canonical image
@@ -620,32 +622,34 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     rule.  The types starting at a vertex are wrapped when a class first
     reads them.  The host decides, with no parameter, how they are found.
     When every twin class has at least two vertices, they come from the
-    quotient (:func:`_quotient_types`), each witness from the one chunk of
-    its canonical image.  On any other host they are the canonical
-    copies (no unused twin before a used one) in the chunk of the catalogue
-    on the *pool*, the first min(|class|, h) vertices of each class, since a
-    copy uses at most h twins of a class and any h of them alike.  A pattern
-    has a copy exactly when its pool has one, so the sizes come from reading
-    the classes' least vertices up to each pattern's first copy.
+    quotient (:func:`_quotient_types`), with key None.  On any other host
+    they are the canonical copies (no unused twin before a used one) in the
+    chunk of the catalogue on the *pool*, the first min(|class|, h) vertices
+    of each class, since a copy uses at most h twins of a class and any h of
+    them alike, each with its least key.  A pattern has a copy exactly when
+    its pool has one, so the sizes come from reading the classes' least
+    vertices up to each pattern's first copy.
     """
     cls_of, class_mask, below, twins, firsts = classes
     n = host.n
     quotient = twins == (1 << n) - 1
 
-    def listed(h: int, canon: int, emb: Embedding) -> tuple:
+    def listed(h: int, canon: int, made: tuple, key) -> tuple:
         """A type as the class lists hold it."""
+        if not canon & twins:
+            return canon, (), (h, canon, made, key)
         used: dict[int, int] = {}
         for w in iter_bits(canon & twins):
             used[cls_of[w]] = used.get(cls_of[w], 0) + 1
         parts = tuple((class_mask[i], c) for i, c in used.items())
-        return canon & ~twins, parts, (h, canon, emb)
+        return canon & ~twins, parts, (h, canon, made, key)
 
     def lister(pg: Graph, pcls):
         """For one pattern: read(v), its types whose canonical copy starts
         at v."""
         h = pg.n
         growth = _growth(pg)
-        _, to_image = growth
+        made = (pg, pcls, growth)
         pool = sum(1 << v for v in range(n) if below[v].bit_count() < h)
         chunk = _chunks(host, growth, pool)
         quotient_at = _quotient_types(host, pg, classes) if quotient else {}
@@ -658,18 +662,17 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
             got = starting[v] = []
             if quotient:
                 for canon in quotient_at.get(v, ()):
-                    (key,) = _chunks(host, growth, canon)(v).values()
-                    got.append(listed(h, canon, Embedding(pg, to_image(key), pcls)))
+                    got.append(listed(h, canon, made, None))
             else:
                 best = chunk(v)
                 for r in sorted(best, reverse=True):
-                    image = to_image(best[r])
+                    key = best[r]  # the same vertex set as the image
                     mask = 0
-                    for w in image:
+                    for w in key:
                         mask |= 1 << w
-                    if mask & twins and any(below[w] & ~mask for w in image):
+                    if mask & twins and any(below[w] & ~mask for w in key):
                         continue
-                    got.append(listed(h, mask, Embedding(pg, image, pcls)))
+                    got.append(listed(h, mask, made, key))
             return got
 
         return h, read
@@ -691,7 +694,7 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
                 merged.add(h)
             for v in earlier:
                 for t in read(v):
-                    fixed, _, (_, canon, _) = t
+                    fixed, _, (_, canon, _, _) = t
                     if canon >> f & 1 and not fixed & lower:
                         of_size.setdefault(canon, t)
             for t in read(f):  # every type starting at f passes
@@ -709,6 +712,16 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     return sizes, types_at
 
 
+def _witness(host: Graph, opt: tuple) -> Embedding:
+    """A type's witness from the last item of its listing by
+    :func:`_copy_types`; a quotient type's key is the one in the chunk of
+    its canonical image."""
+    _, canon, (pg, pcls, growth), key = opt
+    if key is None:
+        (key,) = _chunks(host, growth, canon)((canon & -canon).bit_length() - 1).values()
+    return Embedding(pg, growth[1](key), pcls)
+
+
 def max_tiling(
     host: Graph,
     patterns: Sequence[PatternLike],
@@ -719,11 +732,12 @@ def max_tiling(
     Open twins (vertices with equal rows) form classes, and a tiling's size
     does not depend on which twins of a class its copies use.  A *copy type*
     is a class-count vector that some copy has; it is represented by its
-    canonical copy, on the first vertices of each class it uses, with that
-    copy's catalogue witness, and types are ordered as copies are: larger
-    patterns first, then lexicographic image of the canonical copy.  The
-    host picks their source (:func:`_copy_types`).  When every twin class
-    has at least two vertices, as on a blow-up, the types are the
+    canonical copy, on the first vertices of each class it uses, whose
+    catalogue witness is built only if the returned tiling places the type.
+    Types are ordered as copies are: larger patterns first, then
+    lexicographic image of the canonical copy.  The host picks their source
+    (:func:`_copy_types`).  When every twin class has at least two
+    vertices, as on a blow-up, the types are the
     homomorphisms of the pattern into the twin quotient whose fibres fit
     the classes, and no copy is listed.  On any other host they are the
     canonical copies of the catalogue restricted to the first min(|class|,
@@ -752,7 +766,8 @@ def max_tiling(
     pruning.
 
     The first tiling attaining the optimum in this deterministic order is
-    returned, each type's witness moved onto the twins it took (the j-th
+    returned.  Each type it places gets its witness built once
+    (:func:`_witness`), moved onto the twins each copy took (the j-th
     vertex of a class to the j-th taken one).  On a twin-free host every
     class is a singleton and every copy its own type, so this is the first
     optimal tiling in the order of all copies.
@@ -838,8 +853,13 @@ def max_tiling(
         if child:
             stack.append(child)
 
+    witnesses: dict[int, Embedding] = {}  # canonical mask -> witness
+
     def place(taken: int, opt: tuple) -> Embedding:
-        _size, canon, emb = opt
+        canon = opt[1]
+        if canon not in witnesses:
+            witnesses[canon] = _witness(host, opt)
+        emb = witnesses[canon]
         if taken == canon:
             return emb
         image = tuple(

@@ -9,12 +9,15 @@ import json
 import os
 import shlex
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from tilekit.cli import build_parser, main
-from tilekit.graphs import parse_graph
+from tilekit.constructions import extremal_three, lemma62_perfect_tiling
+from tilekit.graphs import bottle_graph, emit_edge_list, parse_graph
+from tilekit.harness import pattern_by_name
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -190,6 +193,27 @@ def test_construct_lemma62(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["copy_counts"] == {"rotated": 3}
+
+
+CONSTRUCTED = [
+    ("ex3", '{"pattern":"K3","n":18,"x":"1/3","eta":"1/18"}',
+     lambda: extremal_three(pattern_by_name("K3"), 18, Fraction(1, 3), Fraction(1, 18)).graph),
+    ("lemma62", '{"target":"B","r":3,"sigma":1,"omega":2,"m":1}',
+     lambda: lemma62_perfect_tiling("B", bottle_graph(3, 1, 2), 1).host.graph),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, build", CONSTRUCTED, ids=[family for family, *_ in CONSTRUCTED]
+)
+def test_construct_writes_the_emitted_edge_list(capsys, tmp_path, family, params, build):
+    # the file is written a line at a time, the same bytes as emit_edge_list
+    out_path = tmp_path / f"{family}.el"
+    code, _, _ = run(
+        capsys, "construct", "--family", family, "--params", params, "--out", str(out_path)
+    )
+    assert code == 0
+    assert out_path.read_text(encoding="utf-8") == emit_edge_list(build())
 
 
 def test_construct_invalid_params_fail_cleanly(capsys, tmp_path):

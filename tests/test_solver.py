@@ -644,10 +644,13 @@ def class_types(host: Graph, patterns) -> list:
     classes = solver._twin_classes(host)
     _, types_at = solver._copy_types(host, patterns, classes)
     listed = {k: types_at(k) for k in reversed(range(len(classes[1])))}
-    return [
-        [(list(iter_bits(canon)), emb.pattern, emb.image) for *_, (_, canon, emb) in listed[k]]
-        for k in range(len(classes[1]))
-    ]
+
+    def row(opt: tuple) -> tuple:
+        # each witness is built as max_tiling builds it for a placed type
+        emb = solver._witness(host, opt)
+        return list(iter_bits(opt[1])), emb.pattern, emb.image
+
+    return [[row(opt) for *_, opt in listed[k]] for k in range(len(classes[1]))]
 
 
 def takes_the_quotient(host: Graph) -> bool:
@@ -761,6 +764,56 @@ def test_search_grows_only_the_chunks_it_branches_on(monkeypatch):
     assert result.nodes == TWIN_FREE_NODES[3]
     assert grown == [0, 4, 5, 3, 6, 2]
     assert len(grown) < host.n
+
+
+def test_witnesses_are_built_only_for_placed_types(monkeypatch):
+    # a type's Embedding is built when the tiling first places it, and a
+    # quotient type's witness is searched for only then
+    built = []
+    embedding = solver.Embedding
+
+    def counted(*args):
+        built.append(args)
+        return embedding(*args)
+
+    grown = []  # the pool of every chunk grown
+    chunks = solver._chunks
+
+    def counted_chunks(host, growth, pool, *touch):
+        chunk = chunks(host, growth, pool, *touch)
+
+        def counted_chunk(*args):
+            grown.append(pool)
+            return chunk(*args)
+
+        return counted_chunk
+
+    monkeypatch.setattr(solver, "Embedding", counted)
+    monkeypatch.setattr(solver, "_chunks", counted_chunks)
+    # twin-free: every copy is its own type, so one Embedding per placed
+    # copy, not one per copy listed
+    host = seeded_host(0, 20, 0.5)
+    assert len(set(host.rows)) == host.n
+    result = max_tiling(host, [C5])
+    assert len(built) == len(result.tiling) > 0
+    # ex3 for K3 at n = 1,440 has twin classes of 159, 640 and 641 vertices,
+    # so its types come from the quotient and no chunk is grown to list
+    # them.  The optimum places 159 copies of one type: one chunk, on the
+    # canonical image, is grown for the witness, which is moved onto the
+    # twins of the other 158.
+    built.clear()
+    grown.clear()
+    host = extremal_three(K3, 1440, Fraction(1, 3), Fraction(1, 1440)).graph
+    result = max_tiling(host, [K3])
+    assert result.proven_optimal and len(result.tiling) == 159
+    assert [pool.bit_count() for pool in grown] == [3]
+    assert len(built) == 159
+    # the C5 x-line blow-up host lists 1,422 types; a short search places
+    # a few of them and grows the chunks of their canonical images alone
+    grown.clear()
+    result = max_tiling(line_host("C5", Fraction(1, 2), 15, 10), [C5], budget=1000)
+    assert {pool.bit_count() for pool in grown} == {5}
+    assert len(grown) == len(set(grown)) <= len(result.tiling)
 
 
 def test_mixed_class_hosts_are_pinned():
