@@ -21,13 +21,12 @@ Two solvers deliberately share nothing beyond the Graph type:
 * :func:`max_tiling` -- branch and bound over the twin quotient.  Open
   twins (vertices with equal rows) form classes, and a copy matters only
   through its *copy type*, the number of vertices it takes from each class.
-  When every class has at least two vertices (a blow-up), the types are the
-  homomorphisms of the pattern into the quotient whose fibres fit the
-  classes; on any other host they are read off the catalogue restricted to
-  the first h vertices of each class, a class's part only when the search
-  first branches on it.  The search branches on the lowest free vertex: a
-  type through its class, placed on the lowest free vertices of each class
-  it uses, or skipping the vertex (its whole class when no type through it
+  The types are the homomorphisms of the pattern into the quotient whose
+  fibres fit the classes (a class of one vertex caps its fibre at 1),
+  listed per start class, a class's part only when the search first
+  branches on it.  The search branches on the lowest free vertex: a type
+  through its class, placed on the lowest free vertices of each class it
+  uses, or skipping the vertex (its whole class when no type through it
   fits).  A class lists only the types whose singleton-class vertices all
   lie at or above its least vertex, since no other type can fit while it
   holds the lowest free vertex.  It cuts a subtree by the bound covered +
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heapreplace
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -204,9 +203,10 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
 def _growth(pattern: Graph):
     """The plans of :func:`_search_plans` for `pattern`, pattern vertices
     taken by descending degree, ties by index, with the map from a key
-    (images in that order) back to an image; what :func:`_chunks` needs of
-    the pattern.  Kept for the last few patterns: a Graph is immutable and
-    hashable, and a few patterns recur across many calls."""
+    (images in that order) back to an image; what :func:`_chunks` and
+    :func:`_quotient_types` need of the pattern.  Kept for the last few
+    patterns: a Graph is immutable and hashable, and a few patterns recur
+    across many calls."""
     h = pattern.n
     if h == 0:
         raise ValueError("empty pattern")
@@ -543,62 +543,90 @@ def _twin_classes(host: Graph):
     return cls_of, class_mask, below, twins, firsts
 
 
-def _quotient_types(host: Graph, pattern: Graph, classes) -> dict[int, list[int]]:
-    """The canonical image masks of the copy types of `pattern`, by the
-    least vertex of the mask, each list in lexicographic order of the sorted
-    canonical image.
+def _quotient_types(host: Graph, growth, classes):
+    """The copy types of a pattern, one start at a time, on request: returns
+    read(f), the canonical image masks of the types whose canonical copy
+    starts at f, the least vertex of a class, in catalogue order.  `growth`
+    is :func:`_growth` of the pattern, `classes` :func:`_twin_classes` of
+    the host.
 
     A copy type is a homomorphism of the pattern into the twin quotient
     (one vertex per class, two adjacent when the classes are joined) whose
     fibres fit the classes: a fibre's pattern vertices go to distinct twins,
-    which no pattern edge joins, since the quotient has no loops.  Its
-    canonical copy takes the first c_i vertices of each class i, c_i the
-    fibre's size.  The search places the pattern's vertices along the
-    steps of the first plan of :func:`_growth`, each on a class joined to
-    the classes of its placed neighbours (an intersection of host rows on
-    the least vertex of each class), without the plan's symmetry
-    constraints, and records the canonical mask of every complete map;
-    several maps give one type.  `classes` is :func:`_twin_classes` of the
-    host.
+    which no pattern edge joins, since the quotient has no loops; a class of
+    one vertex caps its fibre at 1.  Its canonical copy takes the first c_i
+    vertices of each class i, c_i the fibre's size, so it starts at f when
+    the map uses f's class and no class below it.  read(f) grows the maps
+    along every plan of the growth, the root on f's class and each later
+    step on a class at or above it, not yet full, joined to the classes of
+    its placed neighbours (an intersection of host rows on the least vertex
+    of each class).  The plans' symmetry constraints hold non-strictly on
+    the classes' least vertices.  Of each orbit of maps under Aut(pattern),
+    the one whose classes, read by slot, are lexicographically least meets
+    them (Crawford, Ginsberg, Luks & Roy 1996), and a plan is rooted at its
+    first pattern vertex, by slot, on f's class.  Several maps can give one
+    type, recorded once.  On a host without twins every cap is 1, the
+    constraints are strict, and read(f) lists the copies with least vertex
+    f, as the chunks of :func:`_chunks` do.
     """
     cls_of, class_mask, _, _, firsts = classes
-    plans, _ = _growth(pattern)
-    steps, _ = plans[0]  # rooted at the highest degree, lowest index
-    h = len(steps)
-    rows = host.rows
-    # per class, its first min(|class|, h) vertices as bits
-    nth = [[1 << v for v in islice(iter_bits(mask), h)] for mask in class_mask]
-    at = [0] * h  # by slot, the least vertex of the class of each placed vertex
-    used = [0] * len(class_mask)
-    found: set[int] = set()
+    plans, _ = growth
+    h = len(plans[0][0])
     last = h - 1
+    n = host.n
+    rows = host.rows
+    at = [0] * h  # by slot, the least vertex of the class of each placed vertex
+    # the current start's state, read by place: the least vertices of the
+    # classes at or above it and of the full classes, and the types found,
+    # reversed canonical mask (bit n-1-v for vertex v) -> canonical mask:
+    # among sets of one size, catalogue order is descending reversed masks
+    start = full = 0
+    found: dict[int, int] = {}
+    steps: tuple = ()
 
-    def place(i: int, canon: int) -> None:
-        s, nbrs, _, _ = steps[i]
-        cand = firsts
-        for p in nbrs:
-            cand &= rows[at[p]]
+    def place(i: int, canon: int, rcanon: int, cand: int) -> None:
+        """Place step i on the class of each least vertex in cand, at the
+        class's first vertex outside canon, and grow the rest."""
+        nonlocal full
+        if i == last:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                rest = class_mask[cls_of[low.bit_length() - 1]] & ~canon
+                u = rest & -rest
+                found[rcanon | 1 << (n - u.bit_length())] = canon | u
+            return
+        s = steps[i][0]
+        _, nbrs, lo, hi = steps[i + 1]
         while cand:
             low = cand & -cand
             cand ^= low
             v = low.bit_length() - 1
-            k = cls_of[v]
-            c = used[k]
-            if c == len(nth[k]):
-                continue
-            if i == last:
-                found.add(canon | nth[k][c])
-            else:
-                used[k] = c + 1
-                at[s] = v
-                place(i + 1, canon | nth[k][c])
-                used[k] = c
+            rest = class_mask[cls_of[v]] & ~canon
+            u = rest & -rest
+            at[s] = v
+            if rest == u:
+                full |= low
+            nxt = start & ~full
+            for p in nbrs:
+                nxt &= rows[at[p]]
+            for p in lo:
+                nxt &= -1 << at[p]
+            for p in hi:
+                nxt &= (2 << at[p]) - 1
+            if nxt:
+                place(i + 1, canon | u, rcanon | 1 << (n - u.bit_length()), nxt)
+            full &= ~low
 
-    place(0, 0)
-    by_start: dict[int, list[int]] = {}
-    for canon in sorted(found, key=lambda mask: list(iter_bits(mask))):
-        by_start.setdefault((canon & -canon).bit_length() - 1, []).append(canon)
-    return by_start
+    def read(f: int) -> list[int]:
+        nonlocal start, found, steps
+        start = firsts >> f << f
+        found = {}
+        for steps, _ in plans:
+            place(0, 0, 0, 1 << f)
+        return [found[r] for r in sorted(found, reverse=True)]
+
+    return read
 
 
 def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
@@ -607,42 +635,33 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     at class k.
 
     A type is listed as (mask on singleton classes, (class mask, count) per
-    larger class, (size, canonical image mask, (pattern, classes, growth),
-    key)), in table order: larger patterns first, then lexicographic order
-    of the canonical image.  :func:`_witness` builds from the last item the
+    larger class, (size, canonical image mask, (pattern, classes, growth))),
+    in table order: larger patterns first, then lexicographic order of the
+    canonical image.  :func:`_witness` builds from the last item the
     witness, the least embedding of the pattern onto the canonical image; a
     type two patterns of one size share keeps the first pattern's.
     `classes` is :func:`_twin_classes` of the host.
 
     Class k, with least vertex f, lists the types whose canonical image
     holds f and no singleton-class vertex below f.  A canonical copy starts
-    at a singleton vertex or at the least vertex of a twin class, so
-    types_at(k) reads the types starting at each twin class's least vertex
-    below f and at f, in ascending order, and keeps those that pass that
-    rule.  The types starting at a vertex are wrapped when a class first
-    reads them.  The host decides, with no parameter, how they are found.
-    When every twin class has at least two vertices, they come from the
-    quotient (:func:`_quotient_types`), with key None.  On any other host
-    they are the canonical copies (no unused twin before a used one) in the
-    chunk of the catalogue on the *pool*, the first min(|class|, h) vertices
-    of each class, since a copy uses at most h twins of a class and any h of
-    them alike, each with its least key.  A pattern has a copy exactly when
-    its pool has one, so the sizes come from reading the classes' least
-    vertices up to each pattern's first copy.
+    at the least vertex of a class, so types_at(k) reads the types starting
+    at each twin class's least vertex below f and at f, in ascending order,
+    and keeps those that pass that rule.  The types starting at a vertex
+    come from the twin quotient (:func:`_quotient_types`) and are wrapped
+    when a class first reads them.  The sizes come from reading the
+    classes' least vertices up to each pattern's first type.
     """
-    cls_of, class_mask, below, twins, firsts = classes
-    n = host.n
-    quotient = twins == (1 << n) - 1
+    cls_of, class_mask, _, twins, firsts = classes
 
-    def listed(h: int, canon: int, made: tuple, key) -> tuple:
+    def listed(h: int, canon: int, made: tuple) -> tuple:
         """A type as the class lists hold it."""
         if not canon & twins:
-            return canon, (), (h, canon, made, key)
+            return canon, (), (h, canon, made)
         used: dict[int, int] = {}
         for w in iter_bits(canon & twins):
             used[cls_of[w]] = used.get(cls_of[w], 0) + 1
         parts = tuple((class_mask[i], c) for i, c in used.items())
-        return canon & ~twins, parts, (h, canon, made, key)
+        return canon & ~twins, parts, (h, canon, made)
 
     def lister(pg: Graph, pcls):
         """For one pattern: read(v), its types whose canonical copy starts
@@ -650,35 +669,18 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         h = pg.n
         growth = _growth(pg)
         made = (pg, pcls, growth)
-        pool = sum(1 << v for v in range(n) if below[v].bit_count() < h)
-        chunk = _chunks(host, growth, pool)
-        quotient_at = _quotient_types(host, pg, classes) if quotient else {}
+        types = _quotient_types(host, growth, classes)
         starting: dict[int, list] = {}
 
         def read(v: int) -> list[tuple]:
             got = starting.get(v)
-            if got is not None:
-                return got
-            got = starting[v] = []
-            if quotient:
-                for canon in quotient_at.get(v, ()):
-                    got.append(listed(h, canon, made, None))
-            else:
-                best = chunk(v)
-                for r in sorted(best, reverse=True):
-                    key = best[r]  # the same vertex set as the image
-                    mask = 0
-                    for w in key:
-                        mask |= 1 << w
-                    if mask & twins and any(below[w] & ~mask for w in key):
-                        continue
-                    got.append(listed(h, mask, made, key))
+            if got is None:
+                got = starting[v] = [listed(h, canon, made) for canon in types(v)]
             return got
 
         return h, read
 
-    listers = [lister(pg, pcls) for pg, pcls in map(_pattern_parts, patterns) if pg.n <= n]
-    # copies starting at a later twin are never canonical
+    listers = [lister(pg, pcls) for pg, pcls in map(_pattern_parts, patterns) if pg.n <= host.n]
     sizes = {h for h, read in listers if any(read(v) for v in iter_bits(firsts))}
 
     def types_at(k: int) -> list[tuple]:
@@ -694,7 +696,7 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
                 merged.add(h)
             for v in earlier:
                 for t in read(v):
-                    fixed, _, (_, canon, _, _) = t
+                    fixed, _, (_, canon, _) = t
                     if canon >> f & 1 and not fixed & lower:
                         of_size.setdefault(canon, t)
             for t in read(f):  # every type starting at f passes
@@ -714,11 +716,9 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
 
 def _witness(host: Graph, opt: tuple) -> Embedding:
     """A type's witness from the last item of its listing by
-    :func:`_copy_types`; a quotient type's key is the one in the chunk of
-    its canonical image."""
-    _, canon, (pg, pcls, growth), key = opt
-    if key is None:
-        (key,) = _chunks(host, growth, canon)((canon & -canon).bit_length() - 1).values()
+    :func:`_copy_types`: the one key in the chunk of its canonical image."""
+    _, canon, (pg, pcls, growth) = opt
+    (key,) = _chunks(host, growth, canon)((canon & -canon).bit_length() - 1).values()
     return Embedding(pg, growth[1](key), pcls)
 
 
@@ -735,17 +735,13 @@ def max_tiling(
     canonical copy, on the first vertices of each class it uses, whose
     catalogue witness is built only if the returned tiling places the type.
     Types are ordered as copies are: larger patterns first, then
-    lexicographic image of the canonical copy.  The host picks their source
-    (:func:`_copy_types`).  When every twin class has at least two
-    vertices, as on a blow-up, the types are the
-    homomorphisms of the pattern into the twin quotient whose fibres fit
-    the classes, and no copy is listed.  On any other host they are the
-    canonical copies of the catalogue restricted to the first min(|class|,
-    h) vertices of each class: a twin-free host is its own quotient, where
-    the homomorphism search meets each copy once per automorphism of the
-    pattern.  There a class's types are listed when the search first
-    branches on it, so a search that stops after a few branch vertices
-    grows only their part of the catalogue.
+    lexicographic image of the canonical copy.  They are the homomorphisms
+    of the pattern into the twin quotient whose fibres fit the classes, a
+    class of one vertex holding a fibre of at most one (:func:`_copy_types`),
+    and no copy is listed.  A class's types are listed when the search
+    first branches on it, so a search that stops after a few branch
+    vertices lists only their part.  On a twin-free host the quotient is
+    the host and a type is a copy.
 
     Branch vertex = lowest free vertex.  Its options are the types through
     its class that fit the free vertices, each placed on the lowest free

@@ -301,9 +301,8 @@ def test_half_dense_catalog_is_pinned(pattern, count, digest):
 
 def test_twin_pool_catalog_is_pinned():
     # a pool of the first h twins of each class, as pooled_types below
-    # lists it (max_tiling grows such a pool chunk by chunk on hosts with a
-    # singleton class, and takes this Lemma 6.2 host's types from the
-    # quotient)
+    # lists it: the reference that max_tiling's copy types are checked
+    # against
     bottle = bottle_graph(3, 1, 2)
     host = lemma62_perfect_tiling("Kr", bottle, 2).host.graph
     seen: dict[int, int] = {}  # row -> twins met so far
@@ -654,6 +653,7 @@ def class_types(host: Graph, patterns) -> list:
 
 
 def takes_the_quotient(host: Graph) -> bool:
+    """Whether every twin class holds at least two vertices, as on a blow-up."""
     return all(size >= 2 for size in Counter(host.rows).values())
 
 
@@ -677,26 +677,45 @@ def test_quotient_types_match_the_pooled_catalogue(host: Graph, patterns):
     assert class_types(host, patterns) == pooled_types_by_class(host, patterns)
 
 
-def line_host(name: str, x: Fraction, n0: int, t: int) -> Graph:
+def line_host(name: str, x: Fraction, n0: int, t: int, join=None) -> Graph:
+    """The t-fold blow-up of the x-line host for the pattern `name`, plus
+    with `join` one vertex joined to every vertex ("universal") or to every
+    even label ("even")."""
     line = x_line(chromatic_data(pattern_by_name(name)), x)
-    return blow_up(generate_satisfying_instance(line, n0, 1), t).graph
+    host = blow_up(generate_satisfying_instance(line, n0, 1), t).graph
+    if join is None:
+        return host
+    step = {"universal": 1, "even": 2}[join]
+    return Graph(host.n + 1, [*host.edges(), *((v, host.n) for v in range(0, host.n, step))])
 
 
 # the x-line blow-up hosts: pattern, x, base order, the blow-up factor of the
-# ROADMAP Baseline, and the number of copy types at that factor
+# ROADMAP Baseline, the number of copy types at that factor, and what one
+# added vertex is joined to (None: no vertex added).  The added vertex is a
+# twin class of its own, and those hosts are checked at t = 2 alone.
 LINE_HOSTS = [
-    ("K3", Fraction(1, 2), 12, 100, 30),
-    ("C5", Fraction(1, 2), 15, 10, 1422),
-    ("bottle(3,1,2)", Fraction(2, 3), 15, 20, 984),
+    ("K3", Fraction(1, 2), 12, 100, 30, None),
+    ("C5", Fraction(1, 2), 15, 10, 1422, None),
+    ("bottle(3,1,2)", Fraction(2, 3), 15, 20, 984, None),
+    ("K3", Fraction(1, 2), 12, 2, None, "universal"),
+    ("C5", Fraction(1, 2), 15, 2, None, "universal"),
+    ("bottle(3,1,2)", Fraction(2, 3), 15, 2, None, "universal"),
+    ("K3", Fraction(1, 2), 12, 2, None, "even"),
 ]
 
 
-@pytest.mark.parametrize("name, x, n0, t, count", LINE_HOSTS, ids=[r[0] for r in LINE_HOSTS])
-def test_line_host_types_match_the_pooled_catalogue(name, x, n0, t, count):
+@pytest.mark.parametrize(
+    "name, x, n0, t, count, join",
+    LINE_HOSTS,
+    ids=[name if join is None else f"{name}-{join}" for name, *_, join in LINE_HOSTS],
+)
+def test_line_host_types_match_the_pooled_catalogue(name, x, n0, t, count, join):
     pattern = pattern_by_name(name)
-    small = line_host(name, x, n0, 2)
-    assert takes_the_quotient(small)
+    small = line_host(name, x, n0, 2, join)
+    assert takes_the_quotient(small) == (join is None)
     assert class_types(small, [pattern]) == pooled_types_by_class(small, [pattern])
+    if count is None:
+        return
     assert len(pooled_types(small, [pattern])) == count
     # as many types at the Baseline's factor, where the pool is too slow;
     # each is listed at the class of its least vertex
@@ -705,20 +724,44 @@ def test_line_host_types_match_the_pooled_catalogue(name, x, n0, t, count):
     assert len(listed) == count
 
 
-def test_singleton_classes_skip_the_quotient(monkeypatch):
-    # one twin class of one vertex sends the host to the on-demand listing
-    calls = []
-    quotient_types = solver._quotient_types
+def canonical_image(host: Graph, image) -> int:
+    """The mask of the first vertices of each twin class that `image` meets,
+    as many as it takes there."""
+    mask = 0
+    for row, count in Counter(host.rows[w] for w in image).items():
+        for v in [v for v in range(host.n) if host.rows[v] == row][:count]:
+            mask |= 1 << v
+    return mask
 
-    def counted(*args):
-        calls.append(args)
-        return quotient_types(*args)
 
-    monkeypatch.setattr(solver, "_quotient_types", counted)
-    max_tiling(complete_multipartite([1, 2, 2]).graph, [K3])
-    assert calls == []
-    max_tiling(complete_multipartite([2, 2, 2]).graph, [K3])
-    assert len(calls) == 1
+def test_types_come_from_the_quotient_on_every_host(monkeypatch):
+    # a twin class of one vertex is a class whose fibre cap is 1: K_{1,2,2}
+    # and a twin-free host list their types from the quotient, as K_{2,2,2}
+    # does, so a chunk is grown only for a placed type's witness, on its
+    # canonical image, and none to list types
+    grown = []  # the pool of every chunk grown
+    chunks = solver._chunks
+
+    def counted(host, growth, pool, *touch):
+        chunk = chunks(host, growth, pool, *touch)
+
+        def counted_chunk(*args):
+            grown.append(pool)
+            return chunk(*args)
+
+        return counted_chunk
+
+    monkeypatch.setattr(solver, "_chunks", counted)
+    for host, pattern in [
+        (complete_multipartite([1, 2, 2]).graph, K3),
+        (complete_multipartite([2, 2, 2]).graph, K3),
+        (seeded_host(0, 20, 0.5), C5),
+    ]:
+        grown.clear()
+        result = max_tiling(host, [pattern])
+        assert result.proven_optimal and result.tiling
+        placed = {canonical_image(host, emb.image) for emb in result.tiling.embeddings}
+        assert sorted(grown) == sorted(placed)
 
 
 # Petersen minus a vertex holds C5 but no triangle
@@ -745,21 +788,21 @@ def test_types_listed_on_demand_match_the_pooled_catalogue(host: Graph, patterns
 
 def test_search_grows_only_the_chunks_it_branches_on(monkeypatch):
     # the pinned twin-free C5 host: 6 of its 15 vertices are branched on,
-    # and only their chunks of the catalogue are grown, each once
+    # and only the types starting there are listed, each start once
     host = seeded_host(3, 15, 0.5)
     grown = []
-    chunks = solver._chunks
+    quotient_types = solver._quotient_types
 
     def counted(*args):
-        chunk = chunks(*args)
+        read = quotient_types(*args)
 
-        def counted_chunk(v):
-            grown.append(v)
-            return chunk(v)
+        def counted_read(f):
+            grown.append(f)
+            return read(f)
 
-        return counted_chunk
+        return counted_read
 
-    monkeypatch.setattr(solver, "_chunks", counted)
+    monkeypatch.setattr(solver, "_quotient_types", counted)
     result = max_tiling(host, [C5])
     assert result.nodes == TWIN_FREE_NODES[3]
     assert grown == [0, 4, 5, 3, 6, 2]
