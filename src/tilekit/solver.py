@@ -23,17 +23,19 @@ Two solvers deliberately share nothing beyond the Graph type:
   through its *copy type*, the number of vertices it takes from each class.
   The types are the homomorphisms of the pattern into the quotient whose
   fibres fit the classes (a class of one vertex caps its fibre at 1),
-  listed per start class, a class's part only when the search first
-  branches on it.  The search branches on the lowest free vertex: a type
-  through its class, placed on the lowest free vertices of each class it
-  uses, or skipping the vertex (its whole class when no type through it
-  fits).  A class lists only the types whose singleton-class vertices all
-  lie at or above its least vertex, since no other type can fit while it
-  holds the lowest free vertex.  It cuts a subtree by the bound covered +
-  the best coin sum of pattern sizes within the free count, and by a
-  dominance table of the most covered seen per free mask.  On a host
-  without twins every type is one copy, listed once, at its least vertex.
-  A type's witness is built only when the returned tiling places the type.
+  grown by the catalogue's routine on the classes, each class's vertices
+  taken in vertex order, and listed per start class, a class's part only
+  when the search first branches on it.  The search branches on the
+  lowest free vertex: a type through its class, placed on the lowest free
+  vertices of each class it uses, or skipping the vertex (its whole class
+  when no type through it fits).  A class lists only the types whose
+  singleton-class vertices all lie at or above its least vertex, since no
+  other type can fit while it holds the lowest free vertex.  It cuts a
+  subtree by the bound covered + the best coin sum of pattern sizes within
+  the free count, and by a dominance table of the most covered seen per
+  free mask.  On a host without twins every type is one copy, listed
+  once, at its least vertex.  A type's witness is built only when the
+  returned tiling places the type.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
@@ -203,8 +205,8 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
 def _growth(pattern: Graph):
     """The plans of :func:`_search_plans` for `pattern`, pattern vertices
     taken by descending degree, ties by index, with the map from a key
-    (images in that order) back to an image; what :func:`_chunks` and
-    :func:`_quotient_types` need of the pattern.  Kept for the last few
+    (images in that order) back to an image; what :func:`_chunks` needs of
+    the pattern for copies and copy types alike.  Kept for the last few
     patterns: a Graph is immutable and hashable, and a few patterns recur
     across many calls."""
     h = pattern.n
@@ -216,55 +218,92 @@ def _growth(pattern: Graph):
     return tuple(_search_plans(pattern, order)), to_image
 
 
-def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = None):
-    """The catalogue on `pool_mask` one chunk at a time, on request.
+def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[int] = None):
+    """The maps of a pattern into `classes` one chunk at a time, on request.
 
-    Returns chunk(v1), the copies whose least image vertex is v1 as a dict
-    from reversed image mask (below) to key; `growth` is :func:`_growth` of
-    the pattern, and its map turns a key into the witness image.  Grow each
-    embedding from v1 along the plans, drawing host vertices from the pool
-    above v1 and intersecting neighbourhood masks.  The plans leave one
-    embedding per Aut(pattern)-orbit, and an image set can carry several
-    orbits (a triangle carries three K_{1,2} embeddings), so keep, per image
-    set, the key (images read in (-degree, index) order) that is least; it
-    is the witness.  The last growth step records its candidates in a loop
-    rather than one call each.
+    `classes` are disjoint vertex masks in order of least vertex, and a map
+    takes the vertices of a class in vertex order.  With one class per
+    vertex of a pool the maps are the catalogue on that pool; with the twin
+    classes of the host (:func:`_twin_classes`) a map's image is the
+    canonical copy of a copy type.  `growth` is :func:`_growth` of the
+    pattern, and its map turns a key into an image.
+
+    Returns chunk(v1), for v1 the least vertex of a class: the image sets
+    whose least vertex is v1, as a dict from reversed image mask (below) to
+    key.  Grow each map from v1 along the plans, intersecting neighbourhood
+    masks, each step drawing from the free set: the first vertex not yet
+    taken of each class at or above v1's.  Per vertex, three tables hold
+    what a step needs of the classes (a map takes at most h vertices of a
+    class, so only its first h get entries): succ[v], the next vertex of
+    v's class, which joins the free set once v is taken; and above[v] and
+    below[v], the vertices of the classes at or above and at or below v's,
+    which cut a step whose slot must lie above or below v's slot.  With one
+    vertex per class v itself is taken, so these are the plans' strict
+    symmetry constraints, and they leave one embedding per
+    Aut(pattern)-orbit.  An image set can carry several orbits (a triangle
+    carries three K_{1,2} embeddings), so keep, per image set, the key
+    (images read in (-degree, index) order) that is least; it is the
+    witness.  On twin classes the constraints hold non-strictly on
+    classes: of each orbit of maps into the classes under Aut(pattern), the
+    one whose classes, read by slot, are lexicographically least meets them
+    (the lex-leader constraints of Crawford, Ginsberg, Luks & Roy 1996), and
+    a plan is rooted at its first pattern vertex, by slot, on v1's class.
+    Several maps can give one type, recorded once; its key is one of them,
+    not always the catalogue's witness.  The last growth step records its
+    candidates in a loop rather than one call each.
 
     A chunk is keyed by the *reversed* image mask, bit n-1-v for vertex v.
     Among sets of one size the lexicographic order of the sorted sets is
     descending order of reversed masks, so a chunk is put in the
     catalogue's order by a plain reverse sort of its keys.
 
-    A chunk holds only its sets that meet `touch_mask` (all of them when
-    it is None), and chunk(v1, m) only the first m of them in that order
-    (the m largest reversed masks), each with its least key.  grow builds
-    chunk(v1) when every set of it meets `touch_mask`, which is when v1
-    does; otherwise seek grows the chunk on the same plans, with cuts.
-    Each later step takes one vertex of its candidate set (the free pool
-    cut by the rows of its placed neighbours and by the symmetry
-    constraints on placed slots), and a completion's new vertices lie in
-    the union U of those sets.  A partial embedding is cut when a later
-    step has no candidate, or when it misses `touch_mask` and so does U.
-    With m, seek is also a branch and bound (Land & Doig 1960): once m
-    sets are held, a partial embedding is cut when its bound is below the
-    least of them.  The t-th lowest vertex a completion adds is at least
-    the t-th lowest of the candidate sets' least vertices, so the bound is
-    the reversed mask of the placed vertices plus, for t = 1, 2, ..., the
-    lowest vertex of U above the one taken for t - 1 and at or above that
-    t-th least vertex.  A bound equal to the least held set is not cut,
-    since the embedding may still give a held set a smaller key.  With
-    m = 0 seek stops at the first complete embedding that meets
-    `touch_mask` and returns its set alone, under that embedding's key:
-    whether the chunk has any.
+    With one class per vertex, a chunk holds only its sets that meet
+    `touch_mask` (all of them when it is None), and chunk(v1, m) only the
+    first m of them in that order (the m largest reversed masks), each with
+    its least key.  grow builds chunk(v1) when every set of it meets
+    `touch_mask`, which is when v1 does; otherwise seek grows the chunk on
+    the same plans and tables, with cuts.  Each later step takes one vertex
+    of its candidate set (the free set cut by the rows of its placed
+    neighbours and by the symmetry constraints on placed slots), and a
+    completion's new vertices lie in the union U of those sets.  A partial
+    embedding is cut when a later step has no candidate, or when it misses
+    `touch_mask` and so does U.  With m, seek is also a branch and bound
+    (Land & Doig 1960): once m sets are held, a partial embedding is cut
+    when its bound is below the least of them.  The t-th lowest vertex a
+    completion adds is at least the t-th lowest of the candidate sets'
+    least vertices, so the bound is the reversed mask of the placed
+    vertices plus, for t = 1, 2, ..., the lowest vertex of U above the one
+    taken for t - 1 and at or above that t-th least vertex.  A bound equal
+    to the least held set is not cut, since the embedding may still give a
+    held set a smaller key.  With m = 0 seek stops at the first complete
+    embedding that meets `touch_mask` and returns its set alone, under that
+    embedding's key: whether the chunk has any.
     """
     plans, _ = growth
     h = len(plans[0][0])
     n = host.n
     rows = host.rows
+    succ = [0] * n
+    above = [0] * n
+    below = [0] * n
+    pool = sum(classes)  # the classes are disjoint
+    heads = lower = 0  # heads: the least vertex of each class
+    for c in classes:
+        up = pool ^ lower
+        lower |= c
+        heads |= c & -c
+        # a map that takes the h-th vertex of a class is complete, so that
+        # vertex's successor never joins the free set
+        for _ in range(h):
+            low = c & -c
+            c ^= low
+            v = low.bit_length() - 1
+            above[v], below[v], succ[v] = up, lower, c & -c
+            if not c:
+                break
     # the current chunk and plan, read by grow; img holds images by slot
     img = [0] * h
     best: dict[int, tuple[int, ...]] = {}
-    avail = 0
     steps: tuple = ()
     ahead: tuple = ()
     last = h - 1
@@ -280,7 +319,7 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
     held: list[int] = []
     floor = 0
 
-    def grow(i: int, used: int, rused: int, cand: int) -> None:
+    def grow(i: int, free: int, rused: int, cand: int) -> None:
         """Place step i on each vertex of cand and grow the rest."""
         s = steps[i][0]
         if i == last:
@@ -300,18 +339,19 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
             low = cand & -cand
             top = low.bit_length()
             img[s] = top - 1
-            nxt = avail & ~(used | low)
+            left = free & ~low | succ[top - 1]
+            nxt = left
             for p in nbrs:
                 nxt &= rows[img[p]]
             for p in lo:
-                nxt &= -2 << img[p]
+                nxt &= above[img[p]]
             for p in hi:
-                nxt &= (1 << img[p]) - 1
+                nxt &= below[img[p]]
             if nxt:
-                grow(i + 1, used | low, rused | 1 << (n - top), nxt)
+                grow(i + 1, left, rused | 1 << (n - top), nxt)
             cand ^= low
 
-    def seek(i: int, used: int, rused: int, cand: int) -> bool:
+    def seek(i: int, free: int, rused: int, cand: int) -> bool:
         """grow with the cuts; True once m = 0 is answered."""
         nonlocal floor
         s = steps[i][0]
@@ -349,16 +389,16 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
             cand ^= low
             img[s] = top - 1
             r = rused | 1 << (n - top)
-            free = avail & ~(used | low)
+            left = free & ~low | succ[top - 1]
             sets = []  # the later steps' candidate sets
             for nbrs, lo, hi in later:
-                c = free
+                c = left
                 for p in nbrs:
                     c &= rows[img[p]]
                 for p in lo:
-                    c &= -2 << img[p]
+                    c &= above[img[p]]
                 for p in hi:
-                    c &= (1 << img[p]) - 1
+                    c &= below[img[p]]
                 if not c:
                     break
                 sets.append(c)
@@ -379,21 +419,21 @@ def _chunks(host: Graph, growth, pool_mask: int, touch_mask: Optional[int] = Non
                         reach ^= w
                     if bound < floor or not w:
                         continue
-                if seek(i + 1, used | low, r, sets[0]):
+                if seek(i + 1, left, r, sets[0]):
                     return True
         return False
 
     def chunk(v1: int, m: Optional[int] = None) -> dict[int, tuple[int, ...]]:
-        nonlocal avail, best, steps, ahead, want, held, floor
-        avail = pool_mask >> (v1 + 1) << (v1 + 1)
+        nonlocal best, steps, ahead, want, held, floor
+        free = above[v1] & heads
         best = {}
         if m is None and touch >> v1 & 1:  # every set meets touch_mask
             for steps, _ in plans:
-                grow(0, 0, 0, 1 << v1)
+                grow(0, free, 0, 1 << v1)
             return best
         want, held, floor = m, [], 0
         for steps, ahead in plans:
-            if seek(0, 0, 0, 1 << v1):
+            if seek(0, free, 0, 1 << v1):
                 break
         return best
 
@@ -448,7 +488,7 @@ def enumerate_copies(
     )
     touch_mask = _vertex_mask(host, touching, "touching") if touching is not None else None
     _, to_image = growth
-    chunk = _chunks(host, growth, pool_mask, touch_mask)
+    chunk = _chunks(host, growth, [1 << v for v in iter_bits(pool_mask)], touch_mask)
     copies = []
     truncated = False
     for v1 in iter_bits(pool_mask):
@@ -519,9 +559,8 @@ def _take_twins(free: int, taken: int, parts) -> int:
 
 def _twin_classes(host: Graph):
     """Open twins (vertices with equal rows) as classes numbered by least
-    vertex: (class of each vertex, mask of each class, the twins before each
-    vertex in its class, the vertices of classes with more than one, the
-    least vertex of each class).
+    vertex: (class of each vertex, mask of each class, the vertices of
+    classes with more than one, the least vertex of each class).
 
     A vertex is not in its own row, so twins are never adjacent: a class is
     an independent set, and permuting it is a host automorphism.  Two
@@ -530,9 +569,7 @@ def _twin_classes(host: Graph):
     class_of_row: dict[int, int] = {}
     cls_of = [class_of_row.setdefault(row, len(class_of_row)) for row in host.rows]
     class_mask = [0] * len(class_of_row)
-    below = [0] * host.n
     for v, i in enumerate(cls_of):
-        below[v] = class_mask[i]
         class_mask[i] |= 1 << v
     twins = 0
     firsts = 0
@@ -540,93 +577,7 @@ def _twin_classes(host: Graph):
         firsts |= mask & -mask
         if mask & (mask - 1):
             twins |= mask
-    return cls_of, class_mask, below, twins, firsts
-
-
-def _quotient_types(host: Graph, growth, classes):
-    """The copy types of a pattern, one start at a time, on request: returns
-    read(f), the canonical image masks of the types whose canonical copy
-    starts at f, the least vertex of a class, in catalogue order.  `growth`
-    is :func:`_growth` of the pattern, `classes` :func:`_twin_classes` of
-    the host.
-
-    A copy type is a homomorphism of the pattern into the twin quotient
-    (one vertex per class, two adjacent when the classes are joined) whose
-    fibres fit the classes: a fibre's pattern vertices go to distinct twins,
-    which no pattern edge joins, since the quotient has no loops; a class of
-    one vertex caps its fibre at 1.  Its canonical copy takes the first c_i
-    vertices of each class i, c_i the fibre's size, so it starts at f when
-    the map uses f's class and no class below it.  read(f) grows the maps
-    along every plan of the growth, the root on f's class and each later
-    step on a class at or above it, not yet full, joined to the classes of
-    its placed neighbours (an intersection of host rows on the least vertex
-    of each class).  The plans' symmetry constraints hold non-strictly on
-    the classes' least vertices.  Of each orbit of maps under Aut(pattern),
-    the one whose classes, read by slot, are lexicographically least meets
-    them (Crawford, Ginsberg, Luks & Roy 1996), and a plan is rooted at its
-    first pattern vertex, by slot, on f's class.  Several maps can give one
-    type, recorded once.  On a host without twins every cap is 1, the
-    constraints are strict, and read(f) lists the copies with least vertex
-    f, as the chunks of :func:`_chunks` do.
-    """
-    cls_of, class_mask, _, _, firsts = classes
-    plans, _ = growth
-    h = len(plans[0][0])
-    last = h - 1
-    n = host.n
-    rows = host.rows
-    at = [0] * h  # by slot, the least vertex of the class of each placed vertex
-    # the current start's state, read by place: the least vertices of the
-    # classes at or above it and of the full classes, and the types found,
-    # reversed canonical mask (bit n-1-v for vertex v) -> canonical mask:
-    # among sets of one size, catalogue order is descending reversed masks
-    start = full = 0
-    found: dict[int, int] = {}
-    steps: tuple = ()
-
-    def place(i: int, canon: int, rcanon: int, cand: int) -> None:
-        """Place step i on the class of each least vertex in cand, at the
-        class's first vertex outside canon, and grow the rest."""
-        nonlocal full
-        if i == last:
-            while cand:
-                low = cand & -cand
-                cand ^= low
-                rest = class_mask[cls_of[low.bit_length() - 1]] & ~canon
-                u = rest & -rest
-                found[rcanon | 1 << (n - u.bit_length())] = canon | u
-            return
-        s = steps[i][0]
-        _, nbrs, lo, hi = steps[i + 1]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            rest = class_mask[cls_of[v]] & ~canon
-            u = rest & -rest
-            at[s] = v
-            if rest == u:
-                full |= low
-            nxt = start & ~full
-            for p in nbrs:
-                nxt &= rows[at[p]]
-            for p in lo:
-                nxt &= -1 << at[p]
-            for p in hi:
-                nxt &= (2 << at[p]) - 1
-            if nxt:
-                place(i + 1, canon | u, rcanon | 1 << (n - u.bit_length()), nxt)
-            full &= ~low
-
-    def read(f: int) -> list[int]:
-        nonlocal start, found, steps
-        start = firsts >> f << f
-        found = {}
-        for steps, _ in plans:
-            place(0, 0, 0, 1 << f)
-        return [found[r] for r in sorted(found, reverse=True)]
-
-    return read
+    return cls_of, class_mask, twins, firsts
 
 
 def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
@@ -645,16 +596,21 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     Class k, with least vertex f, lists the types whose canonical image
     holds f and no singleton-class vertex below f.  A canonical copy starts
     at the least vertex of a class, so types_at(k) reads the types starting
-    at each twin class's least vertex below f and at f, in ascending order,
-    and keeps those that pass that rule.  The types starting at a vertex
-    come from the twin quotient (:func:`_quotient_types`) and are wrapped
-    when a class first reads them.  The sizes come from reading the
-    classes' least vertices up to each pattern's first type.
+    at each twin class's least vertex below f and at f, and keeps those
+    that pass that rule, each size in descending order of reversed
+    canonical mask, the catalogue's order.  The types starting at a vertex
+    are the chunk there of :func:`_chunks` run on the twin classes, each key
+    turned into its canonical mask when a class first reads them.  The
+    sizes come from reading the classes' least vertices up to each
+    pattern's first type.
     """
-    cls_of, class_mask, _, twins, firsts = classes
+    cls_of, class_mask, twins, firsts = classes
 
-    def listed(h: int, canon: int, made: tuple) -> tuple:
-        """A type as the class lists hold it."""
+    def listed(h: int, key: tuple, made: tuple) -> tuple:
+        """The type of a chunk's key as the class lists hold it."""
+        canon = 0
+        for w in key:
+            canon |= 1 << w
         if not canon & twins:
             return canon, (), (h, canon, made)
         used: dict[int, int] = {}
@@ -665,17 +621,17 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
 
     def lister(pg: Graph, pcls):
         """For one pattern: read(v), its types whose canonical copy starts
-        at v."""
+        at v, by reversed canonical mask."""
         h = pg.n
         growth = _growth(pg)
         made = (pg, pcls, growth)
-        types = _quotient_types(host, growth, classes)
-        starting: dict[int, list] = {}
+        chunk = _chunks(host, growth, class_mask)
+        starting: dict[int, dict[int, tuple]] = {}
 
-        def read(v: int) -> list[tuple]:
+        def read(v: int) -> dict[int, tuple]:
             got = starting.get(v)
             if got is None:
-                got = starting[v] = [listed(h, canon, made) for canon in types(v)]
+                got = starting[v] = {r: listed(h, key, made) for r, key in chunk(v).items()}
             return got
 
         return h, read
@@ -687,38 +643,33 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         f = (class_mask[k] & -class_mask[k]).bit_length() - 1
         lower = (1 << f) - 1
         earlier = list(iter_bits(firsts & twins & lower))
-        # per size, canonical image mask -> type
+        # per size, reversed canonical mask -> type
         types: dict[int, dict[int, tuple]] = {}
-        merged = set()
         for h, read in listers:
             of_size = types.setdefault(h, {})
-            if of_size:
-                merged.add(h)
             for v in earlier:
-                for t in read(v):
+                for r, t in read(v).items():
                     fixed, _, (_, canon, _) = t
                     if canon >> f & 1 and not fixed & lower:
-                        of_size.setdefault(canon, t)
-            for t in read(f):  # every type starting at f passes
-                of_size.setdefault(t[2][1], t)
-        table = []
-        for size in sorted(types, reverse=True):
-            of_size = types[size]
-            if size in merged:  # each pattern's types are in order already
-                canons = sorted(of_size, key=lambda canon: list(iter_bits(canon)))
-                table.extend(of_size[canon] for canon in canons)
-            else:
-                table.extend(of_size.values())
-        return table
+                        of_size.setdefault(r, t)
+            for r, t in read(f).items():  # every type starting at f passes
+                of_size.setdefault(r, t)
+        return [
+            types[size][r]
+            for size in sorted(types, reverse=True)
+            for r in sorted(types[size], reverse=True)
+        ]
 
     return sizes, types_at
 
 
 def _witness(host: Graph, opt: tuple) -> Embedding:
     """A type's witness from the last item of its listing by
-    :func:`_copy_types`: the one key in the chunk of its canonical image."""
+    :func:`_copy_types`: the one key in the chunk of its canonical image,
+    one class per vertex of it."""
     _, canon, (pg, pcls, growth) = opt
-    (key,) = _chunks(host, growth, canon)((canon & -canon).bit_length() - 1).values()
+    chunk = _chunks(host, growth, [1 << v for v in iter_bits(canon)])
+    (key,) = chunk((canon & -canon).bit_length() - 1).values()
     return Embedding(pg, growth[1](key), pcls)
 
 
@@ -737,8 +688,9 @@ def max_tiling(
     Types are ordered as copies are: larger patterns first, then
     lexicographic image of the canonical copy.  They are the homomorphisms
     of the pattern into the twin quotient whose fibres fit the classes, a
-    class of one vertex holding a fibre of at most one (:func:`_copy_types`),
-    and no copy is listed.  A class's types are listed when the search
+    class of one vertex holding a fibre of at most one, grown as copies are
+    but on the twin classes (:func:`_copy_types`), and no copy is listed.
+    A class's types are listed when the search
     first branches on it, so a search that stops after a few branch
     vertices lists only their part.  On a twin-free host the quotient is
     the host and a type is a copy.
@@ -773,7 +725,7 @@ def max_tiling(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     classes = _twin_classes(host)
-    cls_of, class_mask, below, _, _ = classes
+    cls_of, class_mask, _, _ = classes
 
     sizes, types_at = _copy_types(host, patterns, classes)
     # per class, types_at(k) from the first visit that branches there
@@ -859,7 +811,9 @@ def max_tiling(
         if taken == canon:
             return emb
         image = tuple(
-            list(iter_bits(taken & class_mask[cls_of[w]]))[below[w].bit_count()]
+            list(iter_bits(taken & class_mask[cls_of[w]]))[
+                (class_mask[cls_of[w]] & ((1 << w) - 1)).bit_count()
+            ]
             for w in emb.image
         )
         return Embedding(emb.pattern, image, emb.pattern_classes)

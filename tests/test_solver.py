@@ -225,8 +225,9 @@ def test_bounded_chunks_are_the_first_of_the_chunk(host, pattern, m, data):
     touching = data.draw(st.none() | st.lists(st.integers(0, host.n - 1), max_size=4, unique=True))
     touch_mask = None if touching is None else sum(1 << v for v in touching)
     growth = solver._growth(pg)
-    full = solver._chunks(host, growth, (1 << host.n) - 1)
-    bounded = solver._chunks(host, growth, (1 << host.n) - 1, touch_mask)
+    classes = [1 << v for v in range(host.n)]
+    full = solver._chunks(host, growth, classes)
+    bounded = solver._chunks(host, growth, classes, touch_mask)
     for v1 in range(host.n):
         chunk = full(v1)
         meeting = [
@@ -734,24 +735,35 @@ def canonical_image(host: Graph, image) -> int:
     return mask
 
 
-def test_types_come_from_the_quotient_on_every_host(monkeypatch):
-    # a twin class of one vertex is a class whose fibre cap is 1: K_{1,2,2}
-    # and a twin-free host list their types from the quotient, as K_{2,2,2}
-    # does, so a chunk is grown only for a placed type's witness, on its
-    # canonical image, and none to list types
-    grown = []  # the pool of every chunk grown
+def watch_chunks(monkeypatch, listing: bool) -> list:
+    """Record the chunks solver._chunks grows of one kind: with `listing`,
+    the least vertex of each chunk grown on the host's twin classes (a type
+    listing); without, the pool of each chunk grown on one class per pool
+    vertex (a witness, on its canonical image)."""
+    grown = []
     chunks = solver._chunks
 
-    def counted(host, growth, pool, *touch):
-        chunk = chunks(host, growth, pool, *touch)
+    def counted(host, growth, classes, *touch):
+        chunk = chunks(host, growth, classes, *touch)
+        if (list(classes) == solver._twin_classes(host)[1]) != listing:
+            return chunk
 
-        def counted_chunk(*args):
-            grown.append(pool)
-            return chunk(*args)
+        def counted_chunk(v1, *m):
+            grown.append(v1 if listing else sum(classes))
+            return chunk(v1, *m)
 
         return counted_chunk
 
     monkeypatch.setattr(solver, "_chunks", counted)
+    return grown
+
+
+def test_types_come_from_the_quotient_on_every_host(monkeypatch):
+    # a twin class of one vertex is a class whose fibre cap is 1: K_{1,2,2}
+    # and a twin-free host list their types on their twin classes, as
+    # K_{2,2,2} does, so a chunk on one class per vertex is grown only for
+    # a placed type's witness, on its canonical image
+    grown = watch_chunks(monkeypatch, listing=False)  # the pool of each
     for host, pattern in [
         (complete_multipartite([1, 2, 2]).graph, K3),
         (complete_multipartite([2, 2, 2]).graph, K3),
@@ -786,23 +798,34 @@ def test_types_listed_on_demand_match_the_pooled_catalogue(host: Graph, patterns
     assert sizes == {len(t[0]) for t in pooled_types(host, patterns)}
 
 
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(coin_hosts(max_n=10), st.sampled_from(DIFFERENTIAL_PATTERNS))
+def test_twin_free_types_are_copies(host, pattern):
+    # on a twin-free host a type is a copy: the chunk listed on the twin
+    # classes holds the catalogue's copies with that least vertex, key for
+    # key, and the class of a vertex lists the copies whose least vertex it
+    # is, in catalogue order
+    pg = getattr(pattern, "graph", pattern)
+    if pg.n > host.n or len(set(host.rows)) < host.n:
+        return
+    growth = solver._growth(pg)
+    listing = solver._chunks(host, growth, solver._twin_classes(host)[1])
+    catalogue = enumerate_copies(host, pattern).copies
+    by_least = [[emb for emb in catalogue if min(emb.image) == v] for v in range(host.n)]
+    for v, copies in enumerate(by_least):
+        chunk = listing(v)
+        keys = [chunk[r] for r in sorted(chunk, reverse=True)]
+        assert [growth[1](key) for key in keys] == [emb.image for emb in copies]
+    assert class_types(host, [pattern]) == [
+        [(sorted(emb.image), emb.pattern, emb.image) for emb in copies] for copies in by_least
+    ]
+
+
 def test_search_grows_only_the_chunks_it_branches_on(monkeypatch):
     # the pinned twin-free C5 host: 6 of its 15 vertices are branched on,
     # and only the types starting there are listed, each start once
     host = seeded_host(3, 15, 0.5)
-    grown = []
-    quotient_types = solver._quotient_types
-
-    def counted(*args):
-        read = quotient_types(*args)
-
-        def counted_read(f):
-            grown.append(f)
-            return read(f)
-
-        return counted_read
-
-    monkeypatch.setattr(solver, "_quotient_types", counted)
+    grown = watch_chunks(monkeypatch, listing=True)
     result = max_tiling(host, [C5])
     assert result.nodes == TWIN_FREE_NODES[3]
     assert grown == [0, 4, 5, 3, 6, 2]
@@ -819,20 +842,8 @@ def test_witnesses_are_built_only_for_placed_types(monkeypatch):
         built.append(args)
         return embedding(*args)
 
-    grown = []  # the pool of every chunk grown
-    chunks = solver._chunks
-
-    def counted_chunks(host, growth, pool, *touch):
-        chunk = chunks(host, growth, pool, *touch)
-
-        def counted_chunk(*args):
-            grown.append(pool)
-            return chunk(*args)
-
-        return counted_chunk
-
+    grown = watch_chunks(monkeypatch, listing=False)  # the pool of each
     monkeypatch.setattr(solver, "Embedding", counted)
-    monkeypatch.setattr(solver, "_chunks", counted_chunks)
     # twin-free: every copy is its own type, so one Embedding per placed
     # copy, not one per copy listed
     host = seeded_host(0, 20, 0.5)
@@ -840,10 +851,10 @@ def test_witnesses_are_built_only_for_placed_types(monkeypatch):
     result = max_tiling(host, [C5])
     assert len(built) == len(result.tiling) > 0
     # ex3 for K3 at n = 1,440 has twin classes of 159, 640 and 641 vertices,
-    # so its types come from the quotient and no chunk is grown to list
-    # them.  The optimum places 159 copies of one type: one chunk, on the
-    # canonical image, is grown for the witness, which is moved onto the
-    # twins of the other 158.
+    # and its types are listed on them.  The optimum places 159 copies of
+    # one type: one chunk on one class per vertex, on the canonical image,
+    # is grown for the witness, which is moved onto the twins of the other
+    # 158.
     built.clear()
     grown.clear()
     host = extremal_three(K3, 1440, Fraction(1, 3), Fraction(1, 1440)).graph
@@ -857,6 +868,19 @@ def test_witnesses_are_built_only_for_placed_types(monkeypatch):
     result = max_tiling(line_host("C5", Fraction(1, 2), 15, 10), [C5], budget=1000)
     assert {pool.bit_count() for pool in grown} == {5}
     assert len(grown) == len(set(grown)) <= len(result.tiling)
+
+
+def test_x_line_c5_solve_is_pinned():
+    # 39 twin classes, 38 of one vertex and one pair
+    host = c5_line_host(40)
+    assert sorted(Counter(host.rows).values()) == [1] * 38 + [2]
+    result = max_tiling(host, [C5])
+    assert result.proven_optimal
+    assert (result.covered_count, result.nodes) == (40, 3480)
+    assert [emb.image for emb in result.tiling.embeddings] == [
+        (0, 2, 4, 1, 5), (3, 6, 12, 22, 7), (8, 30, 9, 17, 23), (10, 13, 21, 11, 15),
+        (14, 24, 16, 18, 26), (19, 27, 29, 20, 37), (25, 32, 28, 36, 35), (31, 33, 34, 38, 39),
+    ]
 
 
 def test_mixed_class_hosts_are_pinned():
