@@ -161,9 +161,10 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
     lowest index.  Each step names the vertex placed by its *slot*, its
     position in `order`, and the slots of the earlier vertices it must be
     adjacent to, lie above and lie below.  A plan comes as (steps, ahead):
-    ahead[i] holds the same three slot lists for each step after step i, cut
-    to the slots placed up to step i, which is what the search with cuts
-    in :func:`_chunks` knows of where the later steps can go.
+    ahead[i] holds the same three slot lists for each step after step i + 1,
+    cut to the slots placed up to step i, which is what the look-ahead of a
+    cut chunk in :func:`_chunks` knows of where those steps can go;
+    steps[i + 1] already holds the next step's lists.
     """
     rows = pattern.rows
     pairs = [
@@ -195,7 +196,7 @@ def _search_plans(pattern: Graph, order: Sequence[int]):
             ))
         steps = tuple((slot[v], *ties(v, seq[:i])) for i, v in enumerate(seq))
         ahead = tuple(
-            tuple(ties(w, seq[: i + 1]) for w in seq[i + 1 :]) for i in range(len(seq))
+            tuple(ties(w, seq[: i + 1]) for w in seq[i + 2 :]) for i in range(len(seq))
         )
         plans.append((steps, ahead))
     return plans
@@ -260,24 +261,27 @@ def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[in
     With one class per vertex, a chunk holds only its sets that meet
     `touch_mask` (all of them when it is None), and chunk(v1, m) only the
     first m of them in that order (the m largest reversed masks), each with
-    its least key.  grow builds chunk(v1) when every set of it meets
-    `touch_mask`, which is when v1 does; otherwise seek grows the chunk on
-    the same plans and tables, with cuts.  Each later step takes one vertex
-    of its candidate set (the free set cut by the rows of its placed
-    neighbours and by the symmetry constraints on placed slots), and a
-    completion's new vertices lie in the union U of those sets.  A partial
-    embedding is cut when a later step has no candidate, or when it misses
-    `touch_mask` and so does U.  With m, seek is also a branch and bound
-    (Land & Doig 1960): once m sets are held, a partial embedding is cut
-    when its bound is below the least of them.  The t-th lowest vertex a
-    completion adds is at least the t-th lowest of the candidate sets'
-    least vertices, so the bound is the reversed mask of the placed
-    vertices plus, for t = 1, 2, ..., the lowest vertex of U above the one
-    taken for t - 1 and at or above that t-th least vertex.  A bound equal
-    to the least held set is not cut, since the embedding may still give a
-    held set a smaller key.  With m = 0 seek stops at the first complete
-    embedding that meets `touch_mask` and returns its set alone, under that
-    embedding's key: whether the chunk has any.
+    its least key.  Each step takes one vertex of its candidate set (the
+    free set cut by the rows of its placed neighbours and by the symmetry
+    constraints on placed slots) and works out the next step's.  A plain
+    chunk, one without m whose v1 meets `touch_mask`, looks no further.  Any
+    other chunk looks ahead: a step also works out the sets of the steps
+    after the next, and a completion's new vertices lie in the union U of
+    the later sets.  A partial embedding is cut when a later step has no
+    candidate, or when it misses `touch_mask` and so does U.  With m this is
+    also a branch and bound (Land & Doig 1960): once m sets are held, a
+    partial embedding is cut when its bound is below the least of them.
+    The t-th lowest vertex a completion adds is at least the t-th lowest of
+    the candidate sets' least vertices, so the bound is the reversed mask of
+    the placed vertices plus, for t = 1, 2, ..., the lowest vertex of U
+    above the one taken for t - 1 and at or above that t-th least vertex.  A
+    bound equal to the least held set is not cut, since the embedding may
+    still give a held set a smaller key.  The leaf keeps only the sets that
+    meet `touch_mask` and are not below that least set, so the step before
+    it needs no look-ahead: its U is the leaf's candidate set, whose lowest
+    vertex gives the bound.  With m = 0 the grower stops at the first
+    complete embedding that meets `touch_mask` and returns its set alone,
+    under that embedding's key: whether the chunk has any.
     """
     plans, _ = growth
     h = len(plans[0][0])
@@ -301,28 +305,34 @@ def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[in
             above[v], below[v], succ[v] = up, lower, c & -c
             if not c:
                 break
-    # the current chunk and plan, read by grow; img holds images by slot
+    # the current chunk and plan, read by grow; img holds images by slot,
+    # look the later steps each step looks ahead to (none for a plain chunk)
     img = [0] * h
     best: dict[int, tuple[int, ...]] = {}
     steps: tuple = ()
-    ahead: tuple = ()
+    look: tuple = ()
+    bare = ((),) * h
     last = h - 1
-    # for seek: touch_mask plain and reversed (all bits without one), the
-    # sets wanted (None: all), a heap of the reversed masks held, the least
-    # of them once m are held
+    # touch_mask plain and reversed (all bits without one), the sets wanted
+    # (None: all), a heap of the reversed masks held, the least of them once
+    # m are held
     touch = rtouch = -1
     if touch_mask is not None:
         touch, rtouch = touch_mask, 0
         for v in iter_bits(touch_mask):
             rtouch |= 1 << (n - 1 - v)
-    want = 0
+    want: Optional[int] = None
     held: list[int] = []
     floor = 0
 
-    def grow(i: int, free: int, rused: int, cand: int) -> None:
-        """Place step i on each vertex of cand and grow the rest."""
+    def grow(i: int, free: int, rused: int, cand: int) -> bool:
+        """Place step i on each vertex of cand and grow the rest; True once
+        m = 0 is answered."""
+        nonlocal floor
         s = steps[i][0]
         if i == last:
+            if not rused & rtouch:
+                cand &= touch
             while cand:
                 low = cand & -cand
                 top = low.bit_length()
@@ -330,14 +340,30 @@ def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[in
                 key = tuple(img)
                 r = rused | 1 << (n - top)
                 old = best.get(r)
-                if old is None or key < old:
+                if old is None:
+                    if want is not None:
+                        if r < floor:  # below every held set, as are later ones
+                            break
+                        if not want:
+                            best[r] = key
+                            return True
+                        if len(held) < want:
+                            heappush(held, r)
+                        else:
+                            del best[heapreplace(held, r)]
+                        if len(held) == want:
+                            floor = held[0]
+                    best[r] = key
+                elif key < old:
                     best[r] = key
                 cand ^= low
-            return
+            return False
         _, nbrs, lo, hi = steps[i + 1]
+        later = look[i]
         while cand:
             low = cand & -cand
             top = low.bit_length()
+            cand ^= low
             img[s] = top - 1
             left = free & ~low | succ[top - 1]
             nxt = left
@@ -347,70 +373,29 @@ def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[in
                 nxt &= above[img[p]]
             for p in hi:
                 nxt &= below[img[p]]
-            if nxt:
-                grow(i + 1, left, rused | 1 << (n - top), nxt)
-            cand ^= low
-
-    def seek(i: int, free: int, rused: int, cand: int) -> bool:
-        """grow with the cuts; True once m = 0 is answered."""
-        nonlocal floor
-        s = steps[i][0]
-        if i == last:
-            if not rused & rtouch:
-                cand &= touch
-            while cand:
-                low = cand & -cand
-                top = low.bit_length()
-                r = rused | 1 << (n - top)
-                if r < floor:
-                    break  # later candidates give smaller masks
-                img[s] = top - 1
-                key = tuple(img)
-                old = best.get(r)
-                if old is None:
-                    best[r] = key
-                    if want == 0:
-                        return True
-                    if want:  # None without a cap: no heap, no floor
-                        if len(held) < want:
-                            heappush(held, r)
-                        else:
-                            del best[heapreplace(held, r)]
-                        if len(held) == want:
-                            floor = held[0]
-                elif key < old:
-                    best[r] = key
-                cand ^= low
-            return False
-        later = ahead[i]
-        while cand:
-            low = cand & -cand
-            top = low.bit_length()
-            cand ^= low
-            img[s] = top - 1
+            if not nxt:
+                continue
             r = rused | 1 << (n - top)
-            left = free & ~low | succ[top - 1]
-            sets = []  # the later steps' candidate sets
-            for nbrs, lo, hi in later:
-                c = left
-                for p in nbrs:
-                    c &= rows[img[p]]
-                for p in lo:
-                    c &= above[img[p]]
-                for p in hi:
-                    c &= below[img[p]]
-                if not c:
-                    break
-                sets.append(c)
-            else:
-                reach = 0
-                for c in sets:
+            if later:
+                reach = nxt  # the union of the later steps' candidate sets
+                lows = [nxt & -nxt]
+                for adj, ups, downs in later:
+                    c = left
+                    for p in adj:
+                        c &= rows[img[p]]
+                    for p in ups:
+                        c &= above[img[p]]
+                    for p in downs:
+                        c &= below[img[p]]
+                    if not c:
+                        break
                     reach |= c
-                if not (r & rtouch or reach & touch):
+                    lows.append(c & -c)
+                if not c or not (r & rtouch or reach & touch):
                     continue
                 if floor:
                     bound = r
-                    for t in sorted([c & -c for c in sets]):
+                    for t in sorted(lows):
                         reach &= -t  # the vertices at or above t
                         w = reach & -reach
                         if not w:
@@ -419,21 +404,18 @@ def _chunks(host: Graph, growth, classes: Sequence[int], touch_mask: Optional[in
                         reach ^= w
                     if bound < floor or not w:
                         continue
-                if seek(i + 1, left, r, sets[0]):
-                    return True
+            if grow(i + 1, left, r, nxt):
+                return True
         return False
 
     def chunk(v1: int, m: Optional[int] = None) -> dict[int, tuple[int, ...]]:
-        nonlocal best, steps, ahead, want, held, floor
+        nonlocal best, steps, look, want, held, floor
+        best, want, held, floor = {}, m, [], 0
         free = above[v1] & heads
-        best = {}
-        if m is None and touch >> v1 & 1:  # every set meets touch_mask
-            for steps, _ in plans:
-                grow(0, free, 0, 1 << v1)
-            return best
-        want, held, floor = m, [], 0
+        plain = m is None and touch >> v1 & 1  # all wanted, all meet touch_mask
         for steps, ahead in plans:
-            if seek(0, free, 0, 1 << v1):
+            look = bare if plain else ahead
+            if grow(0, free, 0, 1 << v1):
                 break
         return best
 
@@ -467,18 +449,22 @@ def enumerate_copies(
         "does any copy pass through V?" and names the first such copy.
 
     Copies are grown one chunk at a time, a chunk being the copies with one
-    least vertex, and with `touching` a partial copy is dropped once it can
-    no longer meet that set (:func:`_chunks`).  With a cap, each chunk is
-    asked only for as many of its copies as are still wanted, plus one to
-    decide ``truncated``, and a branch and bound on the catalogue order
-    stops growing it once no other embedding can come earlier; ``cap=0``
-    stops at the first copy it grows.  So a capped query costs a small part
-    of its chunk: on a 150-vertex host whose chunk 0 takes minutes to grow
-    whole, the first C5 through vertex 0 takes under 0.1 s.
+    least vertex (:func:`_chunks`).  With `touching`, a chunk whose least
+    vertex is outside that set looks ahead and drops a partial copy once it
+    can no longer meet the set.  With a cap, each chunk is asked only for
+    as many of its copies as are still wanted, plus one to decide
+    ``truncated``, and its look-ahead is also a branch and bound on the
+    catalogue order that stops once no other embedding can come earlier;
+    ``cap=0`` stops at the first copy it grows.  So a capped query costs a
+    small part of its chunk: on a 150-vertex host whose chunk 0 takes
+    minutes to grow whole, the first C5 through vertex 0 takes under 0.1 s.
 
-    Vertices of `within` or `touching` outside the host raise ValueError.
-    Order and witnesses are as described on :class:`CopyCatalog`.
+    Vertices of `within` or `touching` outside the host raise ValueError,
+    as does a negative cap.  Order and witnesses are as described on
+    :class:`CopyCatalog`.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")
     pg, pcls = _pattern_parts(pattern)
     if pg.n > host.n:
         raise ValueError(f"pattern has {pg.n} vertices, host only {host.n}")

@@ -119,6 +119,13 @@ def test_enumerate_rejects_degenerate_inputs():
         enumerate_copies(K2, K3)
 
 
+@pytest.mark.parametrize("cap", [-1, -2])
+def test_a_negative_cap_is_rejected(cap):
+    # -1 read as "no copies, truncated" and -2 failed inside the heap
+    with pytest.raises(ValueError, match=rf"^cap must be >= 0, got {cap}$"):
+        enumerate_copies(complete_multipartite([1] * 4).graph, K3, cap=cap)
+
+
 @pytest.mark.parametrize("bad", [[4], [-1], [0, 7]])
 def test_enumerate_rejects_vertices_outside_the_host(bad):
     host = complete_multipartite([1] * 4).graph
@@ -212,13 +219,14 @@ def test_capped_queries_match_the_uncapped_catalogue(host, pattern, cap, data):
 @given(
     weighted_coin_hosts(6, 18),
     st.sampled_from(DIFFERENTIAL_PATTERNS),
-    st.integers(min_value=0, max_value=6),
+    st.none() | st.integers(min_value=0, max_value=6),
     st.data(),
 )
 def test_bounded_chunks_are_the_first_of_the_chunk(host, pattern, m, data):
     # chunk(v1, m) holds the first m sets of chunk(v1) that meet touch_mask,
-    # keyed alike; with m = 0, one of them when there is any.  The m-th set
-    # and its key are checked too, which enumerate_copies never returns.
+    # keyed alike (all of them when m is None); with m = 0, one of them when
+    # there is any.  The m-th set and its key are checked too, which
+    # enumerate_copies never returns.
     pg = getattr(pattern, "graph", pattern)
     if pg.n > host.n:
         return
@@ -235,10 +243,10 @@ def test_bounded_chunks_are_the_first_of_the_chunk(host, pattern, m, data):
             if touch_mask is None or any(r >> (host.n - 1 - v) & 1 for v in touching)
         ]
         got = bounded(v1, m)
-        if m:
-            assert got == {r: chunk[r] for r in meeting[:m]}
-        else:
+        if m == 0:
             assert len(got) == min(1, len(meeting)) and set(got) <= set(meeting)
+        else:  # meeting[:None] is all of it
+            assert got == {r: chunk[r] for r in meeting[:m]}
 
 
 @pytest.mark.parametrize(
