@@ -13,9 +13,12 @@ while satisfying the rest:
 The constructive half builds perfect (or exactly proportional) tilings by
 explicit placement: blow-up slicing, rotated clique collections, the
 relaxed-neck bottle graph that a pattern tiles perfectly, and the bottle
-graph that a pattern tiles in exact proportion x.  Every copy is placed by
-one routine, which puts pattern class i on the next fresh vertices of a
-chosen host class; a construction is its list of target classes per copy.
+graph that a pattern tiles in exact proportion x.  A construction is its
+placement plan: one list of target host classes per copy, in copy order.
+One pure function, ``_place``, walks the plan, puts pattern class i of
+copy j on the next fresh vertices of host class ``plan[j][i]``, and returns
+the tiling with the number of vertices each host class has left; a perfect
+tiling is one that leaves none.
 
 Every constructor takes its parameters as plain arguments, named as the
 ``tilekit construct --params`` keys, validates its divisibility
@@ -253,37 +256,36 @@ def extremal_three(pattern: Graph, n: int, x: Rational, eta: Rational) -> Partit
 # placement plumbing shared by the constructive tilings
 # ---------------------------------------------------------------------------
 
-class _ClassAllocator:
-    """Hands out consecutive fresh vertices from each class of a host."""
+def _place(
+    host: PartitionedGraph,
+    pattern: Graph,
+    classes: Sequence[Sequence[int]],
+    plan: Sequence[Sequence[int]],
+    pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None,
+) -> tuple[Tiling, list[int]]:
+    """Tiling with one copy of pattern per entry of plan, and what is left.
 
-    def __init__(self, host: PartitionedGraph):
-        self.classes = host.classes
-        self.cursor = [0] * len(host.classes)
-
-    def place(
-        self,
-        pattern: Graph,
-        classes: Sequence[Sequence[int]],
-        targets: Sequence[int],
-        pattern_classes: Optional[tuple[tuple[int, ...], ...]] = None,
-    ) -> Embedding:
-        """Copy of pattern with its class i on fresh vertices of host class
-        targets[i], taken in class order."""
+    Copy j puts pattern class i on the next fresh vertices of host class
+    plan[j][i], taken in class order.  Returns the tiling and the number of
+    vertices each host class has left.
+    """
+    used = [0] * len(host.classes)
+    embeddings = []
+    for targets in plan:
         image = [0] * pattern.n
         for cls, target in zip(classes, targets):
-            start = self.cursor[target]
-            fresh = self.classes[target][start : start + len(cls)]
+            start = used[target]
+            fresh = host.classes[target][start : start + len(cls)]
             if len(fresh) < len(cls):
                 raise ValueError(
                     f"class {target} exhausted: wanted {len(cls)}, have {len(fresh)}"
                 )
-            self.cursor[target] = start + len(cls)
+            used[target] = start + len(cls)
             for p, w in zip(cls, fresh):
                 image[p] = w
-        return Embedding(pattern, tuple(image), pattern_classes)
-
-    def exhausted(self) -> bool:
-        return all(c == len(cls) for c, cls in zip(self.cursor, self.classes))
+        embeddings.append(Embedding(pattern, tuple(image), pattern_classes))
+    left = [len(cls) - u for cls, u in zip(host.classes, used)]
+    return Tiling(tuple(embeddings)), left
 
 
 # ---------------------------------------------------------------------------
@@ -324,55 +326,31 @@ def lemma62_perfect_tiling(target: str, B: PartitionedGraph, m: int) -> Lemma62R
     b = sigma + (r - 1) * omega
     t = (omega - sigma) * b
     bstar = bottle_graph(r, sigma * m, omega * m)
-    counts: dict = {}
 
+    # copy_counts names the aligned copies (neck into neck) and the rotated
+    # ones, which come in collections of r, one carrying the neck into each
+    # host class
     if target == "B":
         host = bottle_graph(r, sigma * m * t, omega * m * t)
+        counts = {"aligned": t}
     elif target == "B*":
         host = bottle_graph(r, sigma * m * m * t, omega * m * m * t)
+        counts = {"aligned": m * t}
     elif target == "B'":
         host = bottle_graph(r, sigma * m * t, (omega - 1) * m * t)
+        counts = {"aligned": (omega - 1 - sigma) * b, "rotated": sigma * r}
     elif target == "Kr":
         host = complete_multipartite([m * t] * r)
+        counts = {"rotated": (omega - sigma) * r}
     else:
         raise ValueError(f"unknown target {target!r}; pick one of {LEMMA62_TARGETS}")
 
-    alloc = _ClassAllocator(host)
-    embeddings = []
-
-    def place(targets: Sequence[int]) -> None:
-        embeddings.append(alloc.place(bstar.graph, bstar.classes, targets, bstar.classes))
-
-    def rotated_collection() -> None:
-        # one copy per host class carrying the neck there
-        for p in range(r):
-            place([p] + [q for q in range(r) if q != p])
-
-    if target in ("B", "B*"):
-        aligned = len(host.classes[0]) // (sigma * m)
-        for _ in range(aligned):
-            place(range(r))
-        counts["aligned"] = aligned
-    elif target == "Kr":
-        for _ in range(omega - sigma):
-            rotated_collection()
-        counts["rotated"] = (omega - sigma) * r
-    else:  # B'
-        aligned = (omega - 1 - sigma) * b
-        for _ in range(aligned):
-            place(range(r))
-        # every class now holds exactly sigma*m*b uncovered vertices
-        leftovers = [len(cls) - cur for cls, cur in zip(host.classes, alloc.cursor)]
-        if leftovers != [sigma * m * b] * r:
-            raise AssertionError(f"unexpected leftovers {leftovers}")
-        for _ in range(sigma):
-            rotated_collection()
-        counts["aligned"] = aligned
-        counts["rotated"] = sigma * r
-
-    if not alloc.exhausted():
+    rotated = [[p] + [q for q in range(r) if q != p] for p in range(r)]
+    plan = [range(r)] * counts.get("aligned", 0) + rotated * (counts.get("rotated", 0) // r)
+    tiling, left = _place(host, bstar.graph, bstar.classes, plan, bstar.classes)
+    if any(left):
         raise AssertionError("tiling does not exhaust the host")
-    return Lemma62Result(host=host, tiling=Tiling(tuple(embeddings)), copy_counts=counts)
+    return Lemma62Result(host=host, tiling=tiling, copy_counts=counts)
 
 
 # ---------------------------------------------------------------------------
@@ -472,23 +450,17 @@ def build_hstar(pattern: Graph, sigma_prime: Rational) -> HStarResult:
     direct_count = _exact_int(b * (r - 1) * (params.omega - sp), "direct copy count")
     companion_count = _exact_int(b * (sp - sigma), "companion copy count")
 
-    alloc = _ClassAllocator(hstar)
-    embeddings = [
-        alloc.place(pattern, bottle_classes, range(r)) for _ in range(direct_count)
-    ]
     # a companion block is r - 1 copies; copy i sends its i-th width class up
     # to the neck, its neck down to class i, and keeps every other width
     # class in its own class
-    for _ in range(companion_count):
-        for i in range(1, r):
-            targets = [i] + [0 if j == i else j for j in range(1, r)]
-            embeddings.append(alloc.place(pattern, bottle_classes, targets))
-
-    if not alloc.exhausted():
+    block = [[i] + [0 if j == i else j for j in range(1, r)] for i in range(1, r)]
+    plan = [range(r)] * direct_count + block * companion_count
+    tiling, left = _place(hstar, pattern, bottle_classes, plan)
+    if any(left):
         raise AssertionError("tiling does not exhaust the host")
     return HStarResult(
         hstar=hstar,
-        tiling=Tiling(tuple(embeddings)),
+        tiling=tiling,
         direct_count=direct_count,
         companion_count=companion_count,
     )
@@ -523,14 +495,10 @@ def build_h1(pattern: Graph, x: Rational) -> H1Result:
     assert neck < width  # a*r*sigma <= a*h < b*h
     h1 = bottle_graph(r, neck, width)
 
-    alloc = _ClassAllocator(h1)
-    embeddings = []
-    for _ in range(a):
-        for shift in range(r - 1):
-            # width class 1 + ((i - 1 + shift) mod (r - 1)) receives class i
-            targets = [0] + [1 + (i + shift) % (r - 1) for i in range(r - 1)]
-            embeddings.append(alloc.place(pattern, classes, targets))
-
-    tiling = Tiling(tuple(embeddings))
+    # width class 1 + ((i - 1 + shift) mod (r - 1)) receives class i
+    shifts = [
+        [0] + [1 + (i + shift) % (r - 1) for i in range(r - 1)] for shift in range(r - 1)
+    ]
+    tiling, _ = _place(h1, pattern, classes, shifts * a)
     assert len(tiling.covered) == a * (r - 1) * h
     return H1Result(h1=h1, tiling=tiling)

@@ -390,7 +390,9 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError("empty input")
     if stripped.startswith(">>graph6<<"):
         return graph6_decode(stripped[len(">>graph6<<") :].strip())
-    first = stripped.splitlines()[0].strip()
+    # the first line ends at the first break of any kind; splitting only the
+    # text before the first "\n" keeps a long edge list from being split whole
+    first = stripped.partition("\n")[0].splitlines()[0].strip()
     if _is_count(first):
         return parse_edge_list(text)
     return graph6_decode(stripped)

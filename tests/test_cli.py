@@ -77,12 +77,42 @@ def test_thresholds_takes_at_most_one_line_option(capsys, options):
     assert "not allowed with argument" in err
 
 
+def test_thresholds_sigma_prime_line(capsys):
+    code, out, _ = run(capsys, "thresholds", "--pattern", "C5", "--sigma-prime", "3/2")
+    assert code == 0
+    assert json.loads(out)["line"] == {
+        "intercept": "7/20",
+        "slope": "6/7",
+        "cutoff": "7/20",
+        "slack": "0/1",
+    }
+
+
+FIGURE2_TEXT = """\
+pattern     start    end  slope  match
+C5            2/5    3/5    1/2  True
+K_{1,1}         0    1/2      1  True
+K_{1,2}         0    1/3    1/2  True
+K_{1,3}         0    1/4    1/3  True
+K_{1,4}         0    1/5    1/4  True
+K_{1,5}         0    1/6    1/5  True
+K_3           1/3    2/3      1  True
+K_4           1/2    3/4      1  True
+K_5           3/5    4/5      1  True
+K_6           2/3    5/6      1  True
+K_{2,4,6}    5/12   7/12    2/5  True
+"""
+
+
 def test_thresholds_figure2(capsys):
     code, out, _ = run(capsys, "thresholds", "--figure2", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["all_match"]
     assert len(payload["rows"]) == 11
+    code, out, _ = run(capsys, "thresholds", "--figure2")
+    assert code == 0
+    assert out == FIGURE2_TEXT
 
 
 @pytest.mark.parametrize(
@@ -153,6 +183,26 @@ def test_construct_ex1_writes_host_and_sidecar(capsys, tmp_path):
     sidecar = json.loads((tmp_path / "ex1.el.json").read_text())
     assert sidecar["A"] == [0]
     assert sidecar["C"] == [5, 6, 7, 8]
+
+
+def test_construct_ex2_writes_v_prime(capsys, tmp_path):
+    out_path = tmp_path / "ex2.el"
+    argv = ["construct", "--family", "ex2", "--params", '{"pattern":"C5","n":40,"eta":"1/20"}',
+            "--out", str(out_path)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == f"wrote 40-vertex host to {out_path} (+ {out_path}.json)\n"
+    sidecar = json.loads((tmp_path / "ex2.el.json").read_text())
+    assert list(sidecar) == ["family", "classes", "v_prime"]
+    assert [len(c) for c in sidecar["classes"]] == [11, 13, 16]
+    assert sidecar["v_prime"] == [0, 1, 2]
+    # V', the first floor(eta*n) + 1 = 3 vertices of class one, misses class two
+    host = parse_graph(out_path.read_text())
+    v_prime, class_two = sidecar["v_prime"], sidecar["classes"][1]
+    assert not any(host.has_edge(u, v) for u in v_prime for v in class_two)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"out": str(out_path), "sidecar": f"{out_path}.json", **sidecar}
 
 
 def test_construct_params_from_file(capsys, tmp_path):
@@ -282,6 +332,19 @@ def test_a_zero_budget_is_inconclusive(capsys):
     assert (payload["optimality"], payload["nodes"]) == ("best-found", 0)
 
 
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["--host", "K6", "--pattern", "K3"], 0, "covered 6/6 (2 copies, proven-optimal)"),
+        (["--host", "K_{4,4,4}", "--pattern", "K3", "--budget", "3"], 2,
+         "covered 6/12 (2 copies, best-found)"),
+    ],
+    ids=["proven", "best-found"],
+)
+def test_solve_text_output(capsys, argv, code, line):
+    assert run(capsys, "solve", *argv) == (code, line + "\n", "")
+
+
 def test_solve_accepts_pattern_names_as_hosts(capsys):
     code, out, _ = run(capsys, "solve", "--host", "K6", "--pattern", "K3", "--json")
     assert code == 0
@@ -331,6 +394,16 @@ def test_gadgets_expand_not_found(capsys, tmp_path):
     )
     assert code == 1
     assert not json.loads(out)["found"]
+
+
+def test_gadgets_swap_not_found(capsys, tmp_path):
+    host, tiling = _write_k3_fixture(tmp_path, [(0, 1), (1, 2), (2, 0), (3, 1)])
+    code, out, _ = run(
+        capsys, "gadgets", "--find", "swap", "--host", host,
+        "--tiling", tiling, "--size", "1", "--offset", "1",
+    )
+    assert code == 1
+    assert json.loads(out) == {"found": False, "size": 1, "offset": 1}
 
 
 def test_gadgets_swap_round_trip(capsys, tmp_path):
@@ -506,6 +579,22 @@ def test_verify_explicit_grid(capsys):
     code, out, _ = run(capsys, "verify", "--family", "ex3", "--grid", grid, "--json")
     assert code == 0
     assert json.loads(out)["records"][0]["label"] == "bottleneck-n18-x1/3"
+
+
+@pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["verify", "--family", "ex3"], 0,
+         "extremal-ex3: pass\n  bottleneck-n18-x1/3: pass\n"),
+        (["verify", "--family", "ex2"], 1, "extremal-ex2: fail\n  degree-dip-n40: fail\n"),
+        (["sweep", "--suite", "hajnal-szemeredi", "--count", "2", "--seed", "3"], 0,
+         "hajnal-szemeredi: pass\n  hs-000-r2-n4: pass\n  hs-001-r3-n12: pass\n"),
+    ],
+    ids=["verify-pass", "verify-fail", "sweep"],
+)
+def test_reports_in_text(capsys, argv, code, text):
+    # one line for the experiment's verdict, then one per record
+    assert run(capsys, *argv) == (code, text, "")
 
 
 def test_sweep_solver_oracle(capsys):

@@ -92,6 +92,8 @@ def test_extremal_one_copies_through_c_must_use_a():
 
 
 def test_extremal_one_validation():
+    with pytest.raises(ValueError, match="need r >= 2"):
+        extremal_one(r=1, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
     with pytest.raises(ValueError, match="divide"):
         extremal_one(r=2, sigma=1, omega=2, n=16, eta=Fraction(1, 16), k=2)
     with pytest.raises(ValueError, match="not an integer"):

@@ -110,6 +110,14 @@ def test_check_expanding_set_catches_violations():
     assert "inside the tiling" in check_expanding_set(host, tiling, inside).violation
     foreign = ExpandingSet(vertices=(3,), assignment=(k3_copy(1, 0, 2),))
     assert "not in tiling" in check_expanding_set(host, tiling, foreign).violation
+    twice = ExpandingSet(vertices=(3, 3), assignment=(copy, copy))
+    assert check_expanding_set(host, tiling, twice).violation == "repeated vertex"
+    # 3 sees the neck 0 and the width class {1}, not the width class {2}
+    shy = Graph(4, [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1)])
+    one = ExpandingSet(vertices=(3,), assignment=(copy,))
+    assert check_expanding_set(shy, tiling, one).violation == (
+        "vertex 3 misses width class (2,) of its copy"
+    )
     with pytest.raises(ValueError, match="align"):
         ExpandingSet(vertices=(3,), assignment=())
 
@@ -164,6 +172,15 @@ def test_swapping_offset_beyond_n_is_hopeless():
     assert find_swapping_set(host, tiling, ordering, host.n + 1, 1) is None
 
 
+@pytest.mark.parametrize(
+    "k, size, message", [(0, 0, "size must be >= 1"), (-1, 1, "k must be >= 0")]
+)
+def test_swapping_set_rejects_a_bad_size_or_offset(k, size, message):
+    host, tiling, ordering = _swap_fixture()
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        find_swapping_set(host, tiling, ordering, k, size)
+
+
 def test_check_swapping_set_catches_gap_violation():
     host, tiling, ordering = _swap_fixture()
     found = find_swapping_set(host, tiling, ordering, 1, 1)
@@ -180,8 +197,12 @@ def test_check_swapping_set_catches_gap_violation():
         (((3, 0),), "witness 0 is not a width-class vertex"),  # the neck
         (((3, 4),), "witness 4 is not a width-class vertex"),  # no copy
         (((3, 2), (4, 1)), "two pairs share a copy"),
+        (((3, 2), (3, 1)), "repeated uncovered vertex"),
+        (((4, 1),), "vertex 4 sees too little of the neck"),  # 4 sees only 2
+        (((3, 1),), "vertex 3 sees too little of width class (2,)"),
     ],
-    ids=["covered-z", "neck-y", "outside-y", "shared-copy"],
+    ids=["covered-z", "neck-y", "outside-y", "shared-copy", "repeated-z", "shy-of-neck",
+         "shy-of-width"],
 )
 def test_check_swapping_set_names_the_violation(pairs, message):
     host, tiling, ordering = _swap_fixture()

@@ -167,6 +167,9 @@ def test_parse_graph_accepts_or_names_the_error(text: str):
 def test_parse_graph_dispatches_on_leading_digit_line():
     assert parse_graph("3\n0 1\n") == Graph(3, [(0, 1)])
     assert parse_graph(">>graph6<<B_") == Graph(3, [(0, 1)])
+    # the count line ends at any line break that str.splitlines knows
+    for brk in ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]:
+        assert parse_graph(f"3{brk}0 1{brk}") == Graph(3, [(0, 1)])
 
 
 def test_parse_graph_rejects_garbage():
@@ -294,6 +297,21 @@ def test_blow_up_matches_the_pair_rule(g: Graph, t: int):
 def test_oversized_hosts_are_rejected_before_their_edges(build):
     # a million vertices: listing the edges first would take minutes and GBs
     with pytest.raises(ValueError, match=r"vertex count 1000000 outside \[0, 4096\]"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: complete_multipartite([]), "class_sizes must be nonempty"),
+        (lambda: complete_multipartite([2, 0]), r"class sizes must be positive, got \[2, 0]"),
+        (lambda: blow_up(Graph(3), 0), "blow-up factor must be >= 1, got 0"),
+        (lambda: blow_up(Graph(3), 1366), "blow-up would have 4098 > 4096 vertices"),
+    ],
+    ids=["no-class", "empty-class", "factor-0", "oversized"],
+)
+def test_bad_sizes_are_named_errors(build, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         build()
 
 

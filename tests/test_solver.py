@@ -50,6 +50,12 @@ K3 = Graph(3, [(0, 1), (1, 2), (2, 0)])
 P3 = Graph(3, [(0, 1), (1, 2)])
 C4 = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+# one growth plan of P4 places the later vertex of a symmetry pair first, so
+# a vertex must lie below one already placed; no other pattern here does so.
+# In P5 that pair is two steps apart, so a capped or touching chunk's
+# look-ahead meets the constraint too.
+P4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+P5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
 
 PETERSEN = Graph(
     10,
@@ -151,6 +157,8 @@ DIFFERENTIAL_PATTERNS = [
     C5,
     complete_multipartite([1, 2, 2]).graph,  # K_{1,2,2}
     bottle_graph(3, 1, 2),
+    P4,
+    P5,
 ]
 
 
@@ -182,6 +190,20 @@ def test_catalog_matches_subset_reference(host, pattern, cap, data):
     images, truncated = reference_copies(host, pg, cap, within, touching)
     assert [emb.image for emb in cat.copies] == images
     assert cat.truncated == truncated
+
+
+@pytest.mark.parametrize(
+    "host, pattern, touching",
+    [(C5, P4, None), (pattern_by_name("C_6"), P5, [5])],
+    ids=["P4-in-C5", "P5-in-C6-through-5"],
+)
+def test_paths_in_cycles_match_subset_reference(host, pattern, touching):
+    # the properties above meet P4 and P5 on random hosts only; these two
+    # lose a copy when a vertex that must lie below a placed one may lie
+    # above it instead, in a step (P4) or in a touching chunk's look-ahead (P5)
+    cat = enumerate_copies(host, pattern, touching=touching)
+    images, _ = reference_copies(host, pattern, touching=touching)
+    assert [emb.image for emb in cat.copies] == images
 
 
 @st.composite
@@ -544,6 +566,20 @@ def test_oracle_size_limit():
         max_tiling_oracle(Graph(17), [K2])
 
 
+@pytest.mark.parametrize(
+    "solve, patterns, message",
+    [
+        (max_tiling, [], "need at least one pattern"),
+        (max_tiling_oracle, [], "need at least one pattern"),
+        (max_tiling_oracle, [Graph(0)], "empty pattern"),
+    ],
+    ids=["search-no-pattern", "oracle-no-pattern", "oracle-empty-pattern"],
+)
+def test_degenerate_pattern_lists_are_named_errors(solve, patterns, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        solve(K3, patterns)
+
+
 # ---------------------------------------------------------------------------
 # solver vs oracle
 # ---------------------------------------------------------------------------
@@ -668,7 +704,7 @@ def takes_the_quotient(host: Graph) -> bool:
 
 # K_{1,3} puts up to three vertices in one class, more than some classes hold
 TYPE_PATTERNS = [
-    K2, K3, P3, C4, C5, bottle_graph(3, 1, 2), K12, complete_multipartite([1, 3]).graph
+    K2, K3, P3, C4, C5, bottle_graph(3, 1, 2), K12, complete_multipartite([1, 3]).graph, P4
 ]
 
 
