@@ -14,8 +14,8 @@ for a writer killed by a closed pipe.  Each verb takes only the shared
 options it reads: ``--json`` all but gadgets (always JSON) and plotdata
 (always CSV), ``--budget`` solve, verify and sweep, ``--seed`` sweep; an
 option that the chosen mode would ignore (``thresholds --figure2`` with a
-pattern or line option, ``sweep --max-n`` outside the solver-oracle suite)
-is a usage error.
+pattern or line option, ``sweep --max-n`` outside the solver-oracle suite,
+``gadgets --tiling`` with ``--find kr``) is a usage error.
 
 Hosts and patterns are given either as files (edge list or graph6) or as
 names in the small pattern grammar (K_t, K_{a,b,...}, C_k, bottle(r,s,w)).
@@ -187,83 +187,47 @@ def cmd_thresholds(args) -> int:
     return EXIT_PASS
 
 
-def _construct_ex1(params: dict):
-    inst = extremal_one(**params)
-    sidecar = {
-        "family": "ex1",
-        "classes": [list(c) for c in inst.host.classes],
-        "A": list(inst.A),
-        "C": list(inst.C),
-    }
-    return inst.host.graph, sidecar
+def _images(embeddings: Sequence[Embedding]) -> list[list[int]]:
+    return [list(e.image) for e in embeddings]
 
 
-def _construct_ex2(params: dict):
-    inst = extremal_two(**params)
-    sidecar = {
-        "family": "ex2",
-        "classes": [list(c) for c in inst.host.classes],
-        "v_prime": list(inst.v_prime),
-    }
-    return inst.host.graph, sidecar
-
-
-def _construct_ex3(params: dict):
-    host = extremal_three(**params)
-    sidecar = {"family": "ex3", "classes": [list(c) for c in host.classes]}
-    return host.graph, sidecar
-
-
-def _construct_hstar(params: dict):
-    result = build_hstar(**params)
-    sidecar = {
-        "family": "hstar",
-        "classes": [list(c) for c in result.hstar.classes],
-        "tiling": [list(e.image) for e in result.tiling.embeddings],
-        "direct_count": result.direct_count,
-        "companion_count": result.companion_count,
-    }
-    return result.hstar.graph, sidecar
-
-
-def _construct_h1(params: dict):
-    result = build_h1(**params)
-    sidecar = {
-        "family": "h1",
-        "classes": [list(c) for c in result.h1.classes],
-        "tiling": [list(e.image) for e in result.tiling.embeddings],
-    }
-    return result.h1.graph, sidecar
-
-
-def _construct_lemma62(params: dict):
+def _construct(family: str, params: dict) -> tuple[PartitionedGraph, dict]:
+    """The family's host and the sidecar fields that follow its classes."""
+    if family == "ex1":
+        inst = extremal_one(**params)
+        return inst.host, {"A": list(inst.A), "C": list(inst.C)}
+    if family == "ex2":
+        inst = extremal_two(**params)
+        return inst.host, {"v_prime": list(inst.v_prime)}
+    if family == "ex3":
+        return extremal_three(**params), {}
+    if family == "hstar":
+        result = build_hstar(**params)
+        return result.hstar, {
+            "tiling": _images(result.tiling.embeddings),
+            "direct_count": result.direct_count,
+            "companion_count": result.companion_count,
+        }
+    if family == "h1":
+        result = build_h1(**params)
+        return result.h1, {"tiling": _images(result.tiling.embeddings)}
     B = bottle_graph(params["r"], params["sigma"], params["omega"])
     result = lemma62_perfect_tiling(params["target"], B, params["m"])
-    sidecar = {
-        "family": "lemma62",
-        "target": params["target"],
-        "classes": [list(c) for c in result.host.classes],
-        "tiling": [list(e.image) for e in result.tiling.embeddings],
+    return result.host, {
+        "tiling": _images(result.tiling.embeddings),
         "copy_counts": dict(result.copy_counts),
     }
-    return result.host.graph, sidecar
-
-
-_CONSTRUCTORS = {
-    "ex1": _construct_ex1,
-    "ex2": _construct_ex2,
-    "ex3": _construct_ex3,
-    "hstar": _construct_hstar,
-    "h1": _construct_h1,
-    "lemma62": _construct_lemma62,
-}
 
 
 def cmd_construct(args) -> int:
     params = read_params(args.family, _load_json_arg(args.params))
-    graph, sidecar = _CONSTRUCTORS[args.family](params)
+    host, fields = _construct(args.family, params)
+    target = {"target": params["target"]} if "target" in params else {}
+    sidecar = {
+        "family": args.family, **target, "classes": [list(c) for c in host.classes], **fields
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(edge_list_lines(graph))
+        fh.writelines(edge_list_lines(host.graph))
     sidecar_path = args.out + ".json"
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, indent=2)
@@ -271,7 +235,7 @@ def cmd_construct(args) -> int:
     if args.json:
         _emit({"out": args.out, "sidecar": sidecar_path, **sidecar})
     else:
-        print(f"wrote {graph.n}-vertex host to {args.out} (+ {sidecar_path})")
+        print(f"wrote {host.graph.n}-vertex host to {args.out} (+ {sidecar_path})")
     return EXIT_PASS
 
 
@@ -284,7 +248,7 @@ def cmd_solve(args) -> int:
         "deficit": host.n - result.covered_count,
         "optimality": result.optimality,
         "nodes": result.nodes,
-        "embeddings": [list(e.image) for e in result.tiling.embeddings],
+        "embeddings": _images(result.tiling.embeddings),
     }
     if result.reason:
         payload["reason"] = result.reason
@@ -298,59 +262,55 @@ def cmd_solve(args) -> int:
     return EXIT_PASS if result.proven_optimal else EXIT_INCONCLUSIVE
 
 
+# the options each gadgets mode reads, with their defaults
+_GADGET_OPTIONS = {
+    "kr": {"r": 3, "sigma": 1, "omega": 1, "eta": "1/10"},
+    "expand": {"tiling": None, "size": 1},
+    "swap": {"tiling": None, "size": 1, "offset": 1, "m": 1},
+}
+
+
 def cmd_gadgets(args) -> int:
+    for name, default in _GADGET_OPTIONS[args.find].items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     host = _load_graph(args.host)
     if args.find == "kr":
-        outcome = greedy_kr(
-            host, args.r, args.sigma, args.omega, parse_rational(args.eta)
-        )
+        outcome = greedy_kr(host, args.r, args.sigma, args.omega, parse_rational(args.eta))
         if isinstance(outcome, GreedyFailure):
-            _emit(
-                {
-                    "found": False,
-                    "step": outcome.step,
-                    "neighborhood_size": outcome.neighborhood_size,
+            step, size = outcome.step, outcome.neighborhood_size
+            payload = {"found": False, "step": step, "neighborhood_size": size}
+        else:
+            payload = {"found": True, "clique": list(outcome.image)}
+    else:
+        if not args.tiling:
+            raise ValueError(f"--find {args.find} needs --tiling")
+        tiling = _load_tiling(args.tiling)
+        valid = is_valid_tiling(host, tiling)
+        if not valid:
+            raise ValueError(f"tiling is not in the host: {valid.violation}")
+        if args.find == "expand":
+            found = find_expanding_set(host, tiling, args.size)
+            payload = {"found": False, "size": args.size}
+            if found is not None:
+                payload = {
+                    "found": True,
+                    "vertices": list(found.vertices),
+                    "assignment": _images(found.assignment),
                 }
-            )
-            return EXIT_FAIL
-        _emit({"found": True, "clique": list(outcome.image)})
-        return EXIT_PASS
-
-    if not args.tiling:
-        raise ValueError(f"--find {args.find} needs --tiling")
-    tiling = _load_tiling(args.tiling)
-    valid = is_valid_tiling(host, tiling)
-    if not valid:
-        raise ValueError(f"tiling is not in the host: {valid.violation}")
-    if args.find == "expand":
-        found = find_expanding_set(host, tiling, args.size)
-        if found is None:
-            _emit({"found": False, "size": args.size})
-            return EXIT_FAIL
-        _emit(
-            {
-                "found": True,
-                "vertices": list(found.vertices),
-                "assignment": [list(e.image) for e in found.assignment],
-            }
-        )
-        return EXIT_PASS
-    # swap
-    found = find_swapping_set(
-        host, tiling, VertexOrdering.by_degree(host), args.offset, args.size, m=args.m
-    )
-    if found is None:
-        _emit({"found": False, "size": args.size, "offset": args.offset})
-        return EXIT_FAIL
-    _emit(
-        {
-            "found": True,
-            "offset": found.offset,
-            "pairs": [list(p) for p in found.pairs],
-            "ordering": list(found.ordering.order),
-        }
-    )
-    return EXIT_PASS
+        else:
+            ordering = VertexOrdering.by_degree(host)
+            found = find_swapping_set(host, tiling, ordering, args.offset, args.size, m=args.m)
+            payload = {"found": False, "size": args.size, "offset": args.offset}
+            if found is not None:
+                payload = {
+                    "found": True,
+                    "offset": found.offset,
+                    "pairs": [list(p) for p in found.pairs],
+                    "ordering": list(found.ordering.order),
+                }
+    _emit(payload)
+    return EXIT_PASS if payload["found"] else EXIT_FAIL
 
 
 _DEFAULT_GRIDS = {
@@ -450,7 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "construct", parents=[json_opt], help="build extremal hosts and tilings"
     )
-    p.add_argument("--family", required=True, choices=sorted(_CONSTRUCTORS))
+    p.add_argument(
+        "--family", required=True, choices=["ex1", "ex2", "ex3", "h1", "hstar", "lemma62"]
+    )
     p.add_argument("--params", required=True, help="JSON parameters (or @file)")
     p.add_argument("--out", required=True, help="edge-list output path")
     p.set_defaults(func=cmd_construct)
@@ -467,14 +429,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gadgets", help="structural gadget finders")
     p.add_argument("--find", required=True, choices=["expand", "swap", "kr"])
     p.add_argument("--host", required=True, help="host graph file or name")
+    # defaults of None, so that an option the mode does not read is seen
     p.add_argument("--tiling", help="tiling JSON file (expand/swap)")
-    p.add_argument("--size", type=int, default=1, help="requested set size")
-    p.add_argument("--offset", type=int, default=1, help="swap index offset k")
-    p.add_argument("--m", type=int, default=1, help="blow-up factor of the pattern")
-    p.add_argument("--r", type=int, default=3, help="clique order (kr)")
-    p.add_argument("--sigma", type=int, default=1, help="neck size (kr)")
-    p.add_argument("--omega", type=int, default=1, help="width size (kr)")
-    p.add_argument("--eta", default="1/10", help="degree slack (kr)")
+    p.add_argument("--size", type=int, help="requested set size (expand/swap, default 1)")
+    p.add_argument("--offset", type=int, help="swap index offset k (swap, default 1)")
+    p.add_argument("--m", type=int, help="blow-up factor of the pattern (swap, default 1)")
+    p.add_argument("--r", type=int, help="clique order (kr, default 3)")
+    p.add_argument("--sigma", type=int, help="neck size (kr, default 1)")
+    p.add_argument("--omega", type=int, help="width size (kr, default 1)")
+    p.add_argument("--eta", help="degree slack (kr, default 1/10)")
     p.set_defaults(func=cmd_gadgets)
 
     p = sub.add_parser(
@@ -527,6 +490,10 @@ def _unread_option(args) -> Optional[str]:
                 return f"argument --figure2: not allowed with argument {flag}"
     if args.command == "sweep" and args.suite != "solver-oracle" and args.max_n is not None:
         return f"argument --max-n: not allowed with argument --suite {args.suite}"
+    if args.command == "gadgets":
+        for name in ("tiling", "size", "offset", "m", "r", "sigma", "omega", "eta"):
+            if name not in _GADGET_OPTIONS[args.find] and getattr(args, name) is not None:
+                return f"argument --{name}: not allowed with argument --find {args.find}"
     return None
 
 

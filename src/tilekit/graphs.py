@@ -453,6 +453,7 @@ def graph6_decode(s: str) -> Graph:
     else:
         n = data[0]
         body = data[1:]
+    check_order(n)  # before the body is read, which is quadratic in n
     need = n * (n - 1) // 2
     if len(body) * 6 < need:
         raise GraphParseError(f"graph6 body too short for n={n}")

@@ -204,6 +204,10 @@ def require_keys(data, keys: Sequence[str], what: str) -> None:
 
 
 def _rational_param(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"not a number: {value!r}")
+    if isinstance(value, float):
+        value = repr(value)  # the decimal as written: 0.1 is 1/10
     return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
@@ -233,8 +237,10 @@ _PARAM_READERS = {
 def read_params(family: str, point) -> dict:
     """A family's parameters from a JSON object, each value in its type.
 
-    Rationals are "p/q" strings or numbers and patterns are names.  A missing
-    key or an unreadable value raises ValueError naming the family and key.
+    Rationals are "p/q" strings or numbers, a float read by the decimal it
+    is written as (0.1 is 1/10), and patterns are names; a bool is no
+    number.  A missing key or an unreadable value raises ValueError naming
+    the family and key.
     """
     keys = _PARAM_KEYS[family]
     required = [k for k in keys if k not in _PARAM_DEFAULTS]

@@ -572,11 +572,11 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     at class k.
 
     A type is listed as (mask on singleton classes, (class mask, count) per
-    larger class, (size, canonical image mask, (pattern, classes, growth))),
-    in table order: larger patterns first, then lexicographic order of the
-    canonical image.  :func:`_witness` builds from the last item the
-    witness, the least embedding of the pattern onto the canonical image; a
-    type two patterns of one size share keeps the first pattern's.
+    larger class, (size, canonical image mask, pattern as passed)), in
+    table order: larger patterns first, then lexicographic order of the
+    canonical image.  Its witness is :func:`enumerate_copies` of the pattern
+    within the canonical image, one copy; a type two patterns of one size
+    share keeps the first pattern's.
     `classes` is :func:`_twin_classes` of the host.
 
     Class k, with least vertex f, lists the types whose canonical image
@@ -592,37 +592,35 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     """
     cls_of, class_mask, twins, firsts = classes
 
-    def listed(h: int, key: tuple, made: tuple) -> tuple:
+    def listed(h: int, key: tuple, p: PatternLike) -> tuple:
         """The type of a chunk's key as the class lists hold it."""
         canon = 0
         for w in key:
             canon |= 1 << w
         if not canon & twins:
-            return canon, (), (h, canon, made)
+            return canon, (), (h, canon, p)
         used: dict[int, int] = {}
         for w in iter_bits(canon & twins):
             used[cls_of[w]] = used.get(cls_of[w], 0) + 1
         parts = tuple((class_mask[i], c) for i, c in used.items())
-        return canon & ~twins, parts, (h, canon, made)
+        return canon & ~twins, parts, (h, canon, p)
 
-    def lister(pg: Graph, pcls):
+    def lister(p: PatternLike):
         """For one pattern: read(v), its types whose canonical copy starts
         at v, by reversed canonical mask."""
-        h = pg.n
-        growth = _growth(pg)
-        made = (pg, pcls, growth)
-        chunk = _chunks(host, growth, class_mask)
+        pg, _ = _pattern_parts(p)
+        chunk = _chunks(host, _growth(pg), class_mask)
         starting: dict[int, dict[int, tuple]] = {}
 
         def read(v: int) -> dict[int, tuple]:
             got = starting.get(v)
             if got is None:
-                got = starting[v] = {r: listed(h, key, made) for r, key in chunk(v).items()}
+                got = starting[v] = {r: listed(pg.n, key, p) for r, key in chunk(v).items()}
             return got
 
-        return h, read
+        return pg.n, read
 
-    listers = [lister(pg, pcls) for pg, pcls in map(_pattern_parts, patterns) if pg.n <= host.n]
+    listers = [lister(p) for p in patterns if _pattern_parts(p)[0].n <= host.n]
     sizes = {h for h, read in listers if any(read(v) for v in iter_bits(firsts))}
 
     def types_at(k: int) -> list[tuple]:
@@ -647,16 +645,6 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         ]
 
     return sizes, types_at
-
-
-def _witness(host: Graph, opt: tuple) -> Embedding:
-    """A type's witness from the last item of its listing by
-    :func:`_copy_types`: the one key in the chunk of its canonical image,
-    one class per vertex of it."""
-    _, canon, (pg, pcls, growth) = opt
-    chunk = _chunks(host, growth, [1 << v for v in iter_bits(canon)])
-    (key,) = chunk((canon & -canon).bit_length() - 1).values()
-    return Embedding(pg, growth[1](key), pcls)
 
 
 def max_tiling(
@@ -700,11 +688,12 @@ def max_tiling(
     pruning.
 
     The first tiling attaining the optimum in this deterministic order is
-    returned.  Each type it places gets its witness built once
-    (:func:`_witness`), moved onto the twins each copy took (the j-th
-    vertex of a class to the j-th taken one).  On a twin-free host every
-    class is a singleton and every copy its own type, so this is the first
-    optimal tiling in the order of all copies.
+    returned.  Each type it places gets its witness built once, by
+    :func:`enumerate_copies` within the canonical image, and moved onto the
+    twins each copy took (the j-th vertex of a class to the j-th taken
+    one).  On a twin-free host every class is a singleton and every copy
+    its own type, so this is the first optimal tiling in the order of all
+    copies.
     """
     if not patterns:
         raise ValueError("need at least one pattern")
@@ -790,9 +779,10 @@ def max_tiling(
     witnesses: dict[int, Embedding] = {}  # canonical mask -> witness
 
     def place(taken: int, opt: tuple) -> Embedding:
-        canon = opt[1]
+        _, canon, p = opt
         if canon not in witnesses:
-            witnesses[canon] = _witness(host, opt)
+            # a list, not an iterator, so that a tracer can read it after the call
+            (witnesses[canon],) = enumerate_copies(host, p, within=list(iter_bits(canon))).copies
         emb = witnesses[canon]
         if taken == canon:
             return emb

@@ -4,6 +4,7 @@ closed output pipe."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -266,6 +267,45 @@ def test_construct_writes_the_emitted_edge_list(capsys, tmp_path, family, params
     assert out_path.read_text(encoding="utf-8") == emit_edge_list(build())
 
 
+# family, params, vertex count, sha256 prefixes of the edge list and sidecar
+CONSTRUCT_PINS = [
+    ("ex1", EX1_PARAMS, 15, "3f3eba035a7865ac", "2edc5bb6bf4f856c"),
+    ("ex2", '{"pattern":"C5","n":40,"eta":"1/20"}', 40,
+     "be849aeefba67713", "655b557dd7e6b009"),
+    ("ex3", '{"pattern":"K3","n":18,"x":"1/3","eta":"1/18"}', 18,
+     "01d2a0bcb2015744", "63fea09605fd0db2"),
+    ("hstar", '{"pattern":"C5","sigma_prime":"3/2"}', 20,
+     "b3e107163642b150", "bf6b5e0128dc6bb3"),
+    ("h1", '{"pattern":"bottle(3,1,2)","x":"2/3"}', 30,
+     "cd78e1f0db69d91f", "05bb905ab88c5799"),
+    ("lemma62", '{"target":"B","r":3,"sigma":1,"omega":2,"m":1}', 25,
+     "4c4dc3824adaaf0d", "324829d0e62bba3b"),
+]
+
+
+@pytest.mark.parametrize(
+    "family, params, n, edges_sha, sidecar_sha", CONSTRUCT_PINS,
+    ids=[family for family, *_ in CONSTRUCT_PINS],
+)
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_construct_output_is_pinned(
+    capsys, tmp_path, family, params, n, edges_sha, sidecar_sha, as_json
+):
+    # stdout, the edge list and the sidecar, byte for byte, in both modes
+    out_path = tmp_path / f"{family}.el"
+    argv = ["construct", "--family", family, "--params", params, "--out", str(out_path)]
+    code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+    assert (code, err) == (0, "")
+    sidecar = (tmp_path / f"{family}.el.json").read_bytes()
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest()[:16] == edges_sha
+    assert hashlib.sha256(sidecar).hexdigest()[:16] == sidecar_sha
+    if as_json:
+        payload = {"out": str(out_path), "sidecar": f"{out_path}.json", **json.loads(sidecar)}
+        assert out == json.dumps(payload, indent=2) + "\n"
+    else:
+        assert out == f"wrote {n}-vertex host to {out_path} (+ {out_path}.json)\n"
+
+
 def test_construct_invalid_params_fail_cleanly(capsys, tmp_path):
     code, _, err = run(
         capsys, "construct", "--family", "ex2",
@@ -441,6 +481,27 @@ def test_gadgets_expand_needs_tiling(capsys):
     code, _, err = run(capsys, "gadgets", "--find", "expand", "--host", "K6")
     assert code == 1
     assert "needs --tiling" in err
+
+
+@pytest.mark.parametrize(
+    "find, options",
+    [
+        ("kr", ["--tiling", "missing.json", "--size", "3"]),
+        ("kr", ["--m", "2"]),
+        ("expand", ["--offset", "2"]),
+        ("expand", ["--sigma", "1"]),
+        ("swap", ["--eta", "1/5"]),
+        ("swap", ["--r", "3"]),
+    ],
+    ids=["kr-tiling", "kr-m", "expand-offset", "expand-sigma", "swap-eta", "swap-r"],
+)
+def test_gadgets_reject_an_option_the_mode_does_not_read(capsys, find, options):
+    # the first such option is named, before any file is read
+    code, out, err = run(capsys, "gadgets", "--find", find, "--host", "K_{2,2,2}", *options)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: tilekit gadgets")
+    assert err.endswith(f"error: argument {options[0]}: not allowed with argument --find {find}\n")
 
 
 @pytest.mark.parametrize(

@@ -201,6 +201,16 @@ def test_graph6_large_size_field():
     assert graph6_decode(nx_graph6(g)) == g
 
 
+@pytest.mark.parametrize("parse", [graph6_decode, parse_graph])
+def test_graph6_oversized_header_is_named_before_the_body(parse):
+    # the order is checked on the size field, before a body of n(n-1)/12
+    # characters is read: here the body is short, and the order is named
+    n = 5000
+    header = "~" + "".join(chr(63 + (n >> k & 63)) for k in (12, 6, 0))
+    with pytest.raises(ValueError, match=r"vertex count 5000 outside \[0, 4096\]$"):
+        parse(header + "?" * 10)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------

@@ -297,6 +297,20 @@ def test_read_params_types_each_value():
     assert read_params("lemma62", lemma62)["m"] == 1
 
 
+def test_read_params_reads_a_float_as_written_and_no_bool_as_a_number():
+    # a JSON float by its decimal, not its binary value
+    point = read_params("ex3", {"pattern": "K3", "n": 18.0, "x": 0.1, "eta": 1e-3})
+    assert (point["n"], point["x"], point["eta"]) == (18, Fraction(1, 10), Fraction(1, 1000))
+    for key, value in [("n", True), ("x", False), ("eta", True)]:
+        ex3 = {"pattern": "K3", "n": 18, "x": "1/3", "eta": "1/18", key: value}
+        with pytest.raises(ValueError, match=f"^ex3 parameter '{key}': not a number: {value}$"):
+            read_params("ex3", ex3)
+    for value in [float("nan"), float("inf")]:  # json reads NaN and Infinity
+        ex3 = {"pattern": "K3", "n": 18, "x": "1/3", "eta": value}
+        with pytest.raises(ValueError, match="^ex3 parameter 'eta': not a rational"):
+            read_params("ex3", ex3)
+
+
 @pytest.mark.parametrize(
     "family, point, message",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -66,3 +67,33 @@ def test_harness_builds_records_only_in_record():
     inside = _calls_to(rule, "InstanceRecord")
     assert inside
     assert len(_calls_to(tree, "InstanceRecord")) == len(inside)
+
+
+def _names(node: ast.AST) -> Counter:
+    """Every name read or written under node, attribute names included."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_definition_is_named_elsewhere():
+    # a private top-level function or class that nothing in the package names
+    # outside its own body is a leftover
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "tilekit").glob("*.py"))
+    }
+    named = sum((_names(tree) for tree in trees.values()), Counter())
+    unnamed = [
+        f"{module}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and named[node.name] == _names(node)[node.name]
+    ]
+    assert len(trees) >= 8
+    assert not unnamed, f"private and never named outside its definition: {unnamed}"

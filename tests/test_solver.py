@@ -691,8 +691,10 @@ def class_types(host: Graph, patterns) -> list:
 
     def row(opt: tuple) -> tuple:
         # each witness is built as max_tiling builds it for a placed type
-        emb = solver._witness(host, opt)
-        return list(iter_bits(opt[1])), emb.pattern, emb.image
+        _, canon, pattern = opt
+        within = list(iter_bits(canon))
+        (emb,) = enumerate_copies(host, pattern, within=within).copies
+        return within, emb.pattern, emb.image
 
     return [[row(opt) for *_, opt in listed[k]] for k in range(len(classes[1]))]
 
