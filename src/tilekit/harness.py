@@ -345,6 +345,11 @@ def run_figure2() -> Figure2Table:
 # plot data
 # ---------------------------------------------------------------------------
 
+def _check_host_order(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"host order n must be at least 1, got {n}")
+
+
 def emit_boundline_plot_data(
     lines: Union[BoundLine, Sequence[BoundLine]],
     n: int,
@@ -356,8 +361,7 @@ def emit_boundline_plot_data(
     the flat ceiling value afterwards; at a cutoff index that lands on an
     integer the two segments agree.  Raises ValueError unless n >= 1.
     """
-    if n < 1:
-        raise ValueError(f"host order n must be at least 1, got {n}")
+    _check_host_order(n)
     if isinstance(lines, BoundLine):
         lines = [lines]
     if labels is None:
@@ -366,17 +370,14 @@ def emit_boundline_plot_data(
         ]
     if len(labels) != len(lines):
         raise ValueError("one label per line")
+    forms = [(line.integer_form(n), math.ceil(line.value_at_cutoff * n)) for line in lines]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["i", *labels])
     for i in range(1, n + 1):
-        row: list[int] = [i]
-        for line in lines:
-            if i <= line.last_index(n):
-                row.append(line.required_ceil(n, i))
-            else:
-                row.append(math.ceil(line.value_at_cutoff * n))
-        writer.writerow(row)
+        writer.writerow(
+            [i, *(form.need(i) if i <= form.last else flat for form, flat in forms)]
+        )
     return buf.getvalue()
 
 
@@ -431,7 +432,7 @@ def random_min_degree_host(r: int, n: int, seed: int) -> Graph:
 def _recover_bottle_fractions(line: BoundLine) -> tuple[int, Fraction, Fraction]:
     """(r, neck fraction, width fraction) back out of a bound line."""
     r_minus_1 = 1 / line.cutoff - line.slope
-    if r_minus_1.denominator != 1 or r_minus_1 < 1:
+    if r_minus_1.denominator != 1 or r_minus_1 < 1 or line.slope < 0:
         raise ValueError("line does not come from a bottle shape")
     r = int(r_minus_1) + 1
     width_frac = line.cutoff
@@ -449,10 +450,13 @@ def generate_satisfying_instance(line: BoundLine, n: int, seed: int) -> Graph:
     synthetic degree sequence passes.  In the worst case this walks all the
     way to the complete graph, which the feasibility pre-check guarantees
     passes.  The seeded perturbation then only adds edges, which can never
-    break the bound, and the returned graph is re-checked.
+    break the bound, and the returned graph is re-checked.  Raises
+    ValueError unless n >= 1, and for a line no bottle shape gives (one
+    with a negative slope among them).
     """
-    last = line.last_index(n)
-    if last >= 1 and line.required_ceil(n, last) > n - 1:
+    _check_host_order(n)
+    form = line.integer_form(n)
+    if form.last >= 1 and form.need(form.last) > n - 1:
         raise ValueError(f"line infeasible at n = {n}: bound exceeds n - 1")
     r, neck_frac, width_frac = _recover_bottle_fractions(line)
     sizes = [math.floor(neck_frac * n)] + [math.floor(width_frac * n)] * (r - 1)
@@ -460,7 +464,7 @@ def generate_satisfying_instance(line: BoundLine, n: int, seed: int) -> Graph:
     if sizes[0] < 0:
         sizes = [0] + [math.floor(width_frac * n)] * (r - 1)
         sizes[0] = n - sum(sizes[1:])
-    while not _check_degrees([n - s for s in sizes for _ in range(s)], line):
+    while not _check_degrees(sorted((n - s, s) for s in sizes if s), line):
         if max(sizes) - min(sizes) <= 1:
             if max(sizes) <= 1:
                 raise AssertionError("feasible line rejected the complete graph")

@@ -1,7 +1,9 @@
 """Exact rational threshold arithmetic for degree-sequence tiling bounds.
 
-Everything in this module is computed with ``fractions.Fraction``; no
-operation may introduce floating point.  The central objects are
+Everything in this module is computed with ``fractions.Fraction``, or with
+exact integers derived from those Fractions (a line's
+:class:`IntegerLine` at one host order); no operation may introduce
+floating point.  The central objects are
 
 * :class:`TilingParams` -- the bundle (h, r, sigma, omega, chi_cr) attached
   to a pattern graph.  ``sigma`` is the smallest colour class achievable over
@@ -28,6 +30,7 @@ witness of the first k >= the greedy clique size for which
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -37,6 +40,7 @@ from .graphs import Graph, iter_bits, multipartite_classes
 __all__ = [
     "BoundLine",
     "DegreeCheck",
+    "IntegerLine",
     "TilingParams",
     "check_degree_sequence",
     "chromatic_data",
@@ -265,12 +269,35 @@ class BoundLine:
         """Exact lower bound on d_i for an n-vertex host (i is 1-based)."""
         return (self.intercept + self.slack) * n + self.slope * i
 
+    def integer_form(self, n: int) -> IntegerLine:
+        """The line at host order n as integers: ceil(required(n, i)) is
+        ceil((a + b i) / q) for 1 <= i <= last = floor(cutoff n)."""
+        c = self.intercept + self.slack
+        q = math.lcm(c.denominator, self.slope.denominator)
+        return IntegerLine(
+            last=self.cutoff.numerator * n // self.cutoff.denominator,
+            a=c.numerator * (q // c.denominator) * n,
+            b=self.slope.numerator * (q // self.slope.denominator),
+            q=q,
+        )
+
     def required_ceil(self, n: int, i: int) -> int:
         # degrees are integers, so the weakest integer form of the bound
-        return math.ceil(self.required(n, i))
+        return self.integer_form(n).need(i)
 
-    def last_index(self, n: int) -> int:
-        return math.floor(self.cutoff * n)
+
+@dataclass(frozen=True)
+class IntegerLine:
+    """A :class:`BoundLine` at one host order n: d_i >= ceil((a + b i) / q)
+    for 1 <= i <= last, with q > 0 and b of the slope's sign."""
+
+    last: int
+    a: int
+    b: int
+    q: int
+
+    def need(self, i: int) -> int:
+        return -((-self.a - self.b * i) // self.q)
 
 
 def g_of_x(params: TilingParams, x: Rational) -> Fraction:
@@ -369,16 +396,27 @@ class DegreeCheck:
 
 def check_degree_sequence(g: Graph, line: BoundLine) -> DegreeCheck:
     """Test d_i >= ceil((intercept + slack) n + slope i) up to the cutoff."""
-    return _check_degrees(g.degrees(), line)
+    return _check_degrees(sorted(Counter(g.degrees()).items()), line)
 
 
-def _check_degrees(degrees: Sequence[int], line: BoundLine) -> DegreeCheck:
-    """:func:`check_degree_sequence` for the degrees of an n-vertex host,
-    n = len(degrees), given in any order."""
-    n = len(degrees)
-    degs = sorted(degrees)
-    for i in range(1, line.last_index(n) + 1):
-        need = line.required_ceil(n, i)
-        if degs[i - 1] < need:
-            return DegreeCheck(False, index=i, degree=degs[i - 1], required=need)
+def _check_degrees(blocks: Sequence[tuple[int, int]], line: BoundLine) -> DegreeCheck:
+    """:func:`check_degree_sequence` for an n-vertex host whose ascending
+    degree sequence is given as (degree, multiplicity) blocks, degrees
+    ascending and multiplicities positive, n the sum of the multiplicities.
+
+    The bound is monotone in i, so each block is tested once, where the
+    bound is highest: at its last index up to the cutoff when the slope is
+    >= 0, at its first when it is < 0.  In a failing block the first
+    violating index is the least i with a + b i > q d, one floor division.
+    """
+    form = line.integer_form(sum(m for _, m in blocks))
+    start = 1
+    for d, m in blocks:
+        if start > form.last:
+            break
+        top = start if form.b < 0 else min(start + m - 1, form.last)
+        if form.need(top) > d:
+            i = start if form.b <= 0 else max(start, (form.q * d - form.a) // form.b + 1)
+            return DegreeCheck(False, index=i, degree=d, required=form.need(i))
+        start += m
     return DegreeCheck(True)

@@ -7,13 +7,14 @@ subset pairs with Fraction arithmetic (by size, and in mask order for the
 witness), copy catalogues by trying every vertex subset in lexicographic
 order, the maximum tiling, with or without the lexicographic overlap
 objective, by recursion over an explicit copy list, the dense hosts by
-listing every vertex pair that their defining rule joins, and the parts of a
+listing every vertex pair that their defining rule joins, the parts of a
 complete multipartite graph by checking that non-adjacency is an equivalence
-relation.
+relation, and a degree sequence against a bound line one index at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional, Sequence
@@ -258,6 +259,27 @@ def reference_copies(
             return images, True
         images.append(image)
     return images, False
+
+
+def degree_line_check(
+    degrees: Sequence[int],
+    intercept: Fraction,
+    slope: Fraction,
+    cutoff: Fraction,
+    slack: Fraction,
+) -> tuple[bool, Optional[int], Optional[int], Optional[int]]:
+    """(ok, index, degree, required) of the first 1-based i with i <= cutoff*n
+    and sorted degree d_i < ceil((intercept + slack)*n + slope*i), n the
+    number of degrees: one Fraction per index, in index order."""
+    n = len(degrees)
+    ascending = sorted(degrees)
+    for i in range(1, n + 1):
+        if i > cutoff * n:
+            break
+        required = math.ceil((intercept + slack) * n + slope * i)
+        if ascending[i - 1] < required:
+            return False, i, ascending[i - 1], required
+    return True, None, None, None
 
 
 def _host_from_rule(sizes: Sequence[int], joined):

@@ -759,6 +759,22 @@ def test_plotdata_overlays_and_file_output(capsys, tmp_path):
     assert header == "i,komlos,x=1/2,x=2/3"
 
 
+def test_plotdata_readme_command_is_pinned(capsys):
+    # the README command, byte for byte: its rows come from the lines'
+    # integer forms, and they must not move when the rounding does
+    code, out, _ = run(
+        capsys, "plotdata", "--pattern", "C5", "--n", "100", "--eta", "1/10", "--x", "1/2"
+    )
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[:3] == ["i,komlos,x=1/2", "1,51,46", "2,51,46"]
+    assert rows[40] == "40,70,54"
+    assert rows[100] == "100,70,55"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d00c54ba63deb5a6cc7079fce8cebaa1e1d07d37f52cd3ea38af10a220930ed6"
+    )
+
+
 @pytest.mark.parametrize("n", ["0", "-3"])
 def test_plotdata_rejects_an_order_below_one(capsys, n):
     code, out, err = run(capsys, "plotdata", "--pattern", "C5", "--n", n)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,13 @@ from tilekit.harness import (
     solver_oracle_sweep,
     verify_extremal_suite,
 )
-from tilekit.thresholds import check_degree_sequence, chromatic_data, komlos_line, x_line
+from tilekit.thresholds import (
+    BoundLine,
+    check_degree_sequence,
+    chromatic_data,
+    komlos_line,
+    x_line,
+)
 
 C5 = cycle_graph(5)
 
@@ -210,6 +218,55 @@ def test_seeded_generators_are_pinned():
     assert g == graph6_decode(
         r"]dpV~z~~v~^f~_~i^bN~H~Gj}?~~~~~~z~~{~~~N~~w~~~l~~~e~~~^^~~of~~yc~~~gj~~}zO"
     )
+
+
+def _gadget_style_hosts(seed: int):
+    """Twenty hosts made as a pass of generate operations makes them: a
+    complete multipartite or small random pattern, its x-line at 1/2 or its
+    Komlos line with slack 1/50 in turn, at n = 40, 44, ..., 116."""
+    rng = random.Random(f"generate/{seed}")
+    for i in range(20):
+        if i % 4 == 0:
+            g = complete_multipartite([rng.randint(1, 3) for _ in range(2 + i // 4 % 3)]).graph
+        else:
+            g = random_host(5 + i % 5, rng.randrange(2**32), rng.uniform(0.3, 0.8))
+            while not g.edge_count():
+                g = random_host(g.n, rng.randrange(2**32), 0.5)
+        params = chromatic_data(g)
+        line = komlos_line(params, Fraction(1, 50)) if i % 2 else x_line(params, Fraction(1, 2))
+        yield generate_satisfying_instance(line, 40 + 4 * i, rng.randrange(2**32))
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "80e6b75ce6c2b6c68f05131f9f20569383e20d9f3180f334a93d131d2cfe023a"),
+        (1, "6b88670dee42d19e75f586bc7a19115a1a1ccdc33b3dca3478d1f711cfb59424"),
+        (2, "3e8d11821a56e397cf9942a0b5c6a827232260fbabfa5facaac729be59547ea8"),
+        (3, "2ecbe9b5ca0ba0e9713687f4e29f3bc22177cd1ad5590598a45163b6cf902da8"),
+        (4, "b29725994e5d4fe856e42f69be1b0cc4f05609cf8d6236b8786fa6452a5b2842"),
+    ],
+)
+def test_generated_hosts_are_pinned(seed, digest):
+    # the migration loop's class sizes decide every host: a faster line
+    # check must stop it at the same sizes
+    h = hashlib.sha256()
+    for g in _gadget_style_hosts(seed):
+        h.update(repr(g.rows).encode())
+    assert h.hexdigest() == digest
+
+
+def test_generate_satisfying_instance_rejects_a_falling_line():
+    # a negative slope gives a negative neck, and the class sizes overran n
+    with pytest.raises(ValueError, match="line does not come from a bottle shape"):
+        generate_satisfying_instance(BoundLine(Fraction(1, 2), -1, Fraction(1, 2)), 10, 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_generate_satisfying_instance_rejects_an_order_below_one(n):
+    line = komlos_line(chromatic_data(C5))
+    with pytest.raises(ValueError, match=f"^host order n must be at least 1, got {n}$"):
+        generate_satisfying_instance(line, n, 1)
 
 
 def test_random_tiling_instance_is_a_valid_planted_tiling():

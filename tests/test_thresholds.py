@@ -12,13 +12,16 @@ from itertools import product
 
 import networkx as nx
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from _oracles import degree_line_check
 from tilekit.graphs import Graph, complete_multipartite
 from tilekit.thresholds import (
     BoundLine,
+    DegreeCheck,
     TilingParams,
+    _check_degrees,
     check_degree_sequence,
     chromatic_data,
     chromatic_number,
@@ -249,7 +252,7 @@ def test_slack_shifts_requirements():
     plain = komlos_line(params)
     slacked = komlos_line(params, eta=Fraction(1, 10))
     n = 100
-    for i in range(1, plain.last_index(n) + 1):
+    for i in range(1, plain.integer_form(n).last + 1):
         assert slacked.required(n, i) - plain.required(n, i) == 10
 
 
@@ -265,7 +268,7 @@ def test_required_ceil_is_exact():
     assert line.required(9, 1) == Fraction(7, 2)
     assert line.required_ceil(9, 1) == 4
     assert line.required_ceil(9, 2) == 4
-    assert line.last_index(9) == 4
+    assert line.integer_form(9).last == 4
 
 
 @PROPERTY_SETTINGS
@@ -377,3 +380,101 @@ def test_complete_graph_passes_every_komlos_line(n: int):
     for pattern in (C5, complete_multipartite([1, 1, 1]).graph):
         line = komlos_line(chromatic_data(pattern))
         assert check_degree_sequence(host, line)
+
+
+def _reference(degrees, line: BoundLine) -> DegreeCheck:
+    return DegreeCheck(
+        *degree_line_check(degrees, line.intercept, line.slope, line.cutoff, line.slack)
+    )
+
+
+@st.composite
+def lines_and_blocks(draw: st.DrawFn) -> tuple[BoundLine, list[tuple[int, int]]]:
+    """A line of any slope sign and intercept, and ascending (degree,
+    multiplicity) blocks; equal neighbouring degrees are allowed."""
+    line = BoundLine(
+        intercept=draw(st.fractions(-2, 2, max_denominator=12)),
+        slope=draw(st.fractions(-3, 3, max_denominator=12)),
+        cutoff=draw(st.fractions(0, 1, max_denominator=12).filter(lambda c: c > 0)),
+        slack=draw(st.fractions(0, 1, max_denominator=12)),
+    )
+    blocks = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 40), st.integers(1, 8)), min_size=1, max_size=8
+        )
+    )
+    return line, sorted(blocks, key=lambda block: block[0])
+
+
+F = Fraction
+
+
+@settings(max_examples=400, deadline=None)
+@given(lines_and_blocks())
+# slope < 0: the bound falls, so a block is tested at its first index
+@example((BoundLine(F(1, 2), F(-1), F(1, 2)), [(3, 2), (4, 3), (9, 5)]))
+# slope = 0: one constant bound up to the cutoff
+@example((BoundLine(F(1, 3), F(0), F(1, 2)), [(2, 1), (3, 4), (5, 4)]))
+# slack > 0 on a rising line
+@example((BoundLine(F(1, 5), F(1, 2), F(2, 5), F(1, 10)), [(3, 2), (5, 3), (9, 5)]))
+# a negative intercept: the ceiling of a negative bound
+@example((BoundLine(F(-7, 3), F(1, 4), F(1, 2)), [(-2, 2), (-1, 3), (0, 5)]))
+# cutoff = 1: every index is bound
+@example((BoundLine(F(0), F(1), F(1)), [(1, 1), (2, 1), (2, 2)]))
+# n = 1
+@example((BoundLine(F(0), F(1), F(1)), [(0, 1)]))
+# blocks that straddle the cutoff: one fails at it, one only past it
+@example((BoundLine(F(0), F(1), F(1, 2)), [(1, 1), (4, 6), (9, 3)]))
+@example((BoundLine(F(0), F(1), F(1, 2)), [(1, 1), (5, 6), (9, 3)]))
+def test_block_check_matches_the_per_index_reference(case):
+    line, blocks = case
+    degrees = [d for d, m in blocks for _ in range(m)]
+    assert _check_degrees(blocks, line) == _reference(degrees, line)
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_edge(max_n=9), st.fractions(-1, 1, max_denominator=9),
+       st.fractions(-2, 2, max_denominator=9))
+def test_graph_check_matches_the_per_index_reference(g: Graph, intercept, slope):
+    line = BoundLine(intercept, slope, Fraction(2, 3))
+    assert check_degree_sequence(g, line) == _reference(g.degrees(), line)
+
+
+def test_block_check_edge_cases():
+    # need(i) = i up to the cutoff index 5 of n = 10: the block of degree 4
+    # on indices 2..7 fails at 5; one of degree 5 passes, since the bounds
+    # 6 and 7 at its indices 6 and 7 lie past the cutoff
+    straddle = BoundLine(F(0), F(1), F(1, 2))
+    assert _check_degrees([(1, 1), (4, 6), (9, 3)], straddle) == DegreeCheck(
+        False, index=5, degree=4, required=5
+    )
+    assert _check_degrees([(1, 1), (5, 6), (9, 3)], straddle)
+    # falling, need(i) = 6 - i up to 3: the block of degree 3 on indices
+    # 2..4 meets the bound at index 3 but not at its first index
+    falling = BoundLine(F(1), F(-1), F(1, 2))
+    assert _check_degrees([(5, 1), (3, 3), (7, 2)], falling) == DegreeCheck(
+        False, index=2, degree=3, required=4
+    )
+    # a rising bound inside one block: the first i with 3 + i/2 > 5 is 5
+    rising = BoundLine(F(3, 10), F(1, 2), F(1))
+    assert _check_degrees([(5, 10)], rising) == DegreeCheck(
+        False, index=5, degree=5, required=6
+    )
+    assert _check_degrees([(0, 1)], BoundLine(F(-1, 2), F(1, 3), F(1)))
+
+
+def test_degree_check_at_the_maximum_order():
+    # n = 4,096 in three twin classes: three blocks, one integer test each
+    host = complete_multipartite([1800, 1200, 1096]).graph
+    lines = [
+        komlos_line(chromatic_data(C5)),
+        komlos_line(chromatic_data(C5), eta=Fraction(1, 100)),
+        x_line(chromatic_data(complete_multipartite([1, 1, 1]).graph), Fraction(1, 2)),
+        BoundLine(Fraction(3, 5), Fraction(-1, 7), Fraction(1)),
+    ]
+    for line in lines:
+        assert check_degree_sequence(host, line) == _reference(host.degrees(), line)
+    # need(i) = ceil(1638.4 + i/2) first exceeds 4096 - 1800 = 2296 at 1316
+    assert check_degree_sequence(host, lines[0]) == DegreeCheck(
+        False, index=1316, degree=2296, required=2297
+    )
