@@ -35,14 +35,18 @@ Two solvers deliberately share nothing beyond the Graph type:
   the free count, and by a dominance table of the most covered seen per
   free mask.  On a host without twins every type is one copy, listed
   once, at its least vertex.  A type's witness is built only when the
-  returned tiling places the type.
+  returned tiling places the type: from the key its listing chunk kept
+  when no vertex of it lies in a twin class, else by
+  :func:`enumerate_copies` within its canonical copy.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
   keyed by the subset's induced shape: one table per pattern of the first
-  permutation for each set of needed pairs.  Each copy is listed once,
-  under its least vertex; a value is one integer encoding (covered,
-  overlap), and the tiling is walked back from the memo.
+  permutation for each set of needed pairs.  Subsets are grown depth first
+  and each shape with them, one vertex's block of pairs at a time.  Each
+  copy is kept raw, listed once, under its least vertex; a value is one
+  integer encoding (covered, overlap), and the tiling is walked back from
+  the memo, its copies alone made Embeddings.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappush, heapreplace
-from itertools import combinations, permutations
+from itertools import permutations
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence, Union
 
@@ -567,17 +571,22 @@ def _twin_classes(host: Graph):
 
 
 def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
-    """The copy types by class: (the sizes of the patterns with a copy,
-    types_at), types_at(k) listing the types that :func:`max_tiling` tries
-    at class k.
+    """The copy types by class: the sizes of the patterns with a copy, and
+    types_at(k), listing the types that :func:`max_tiling` tries at class
+    k.
 
     A type is listed as (mask on singleton classes, (class mask, count) per
     larger class, (size, canonical image mask, pattern as passed)), in
     table order: larger patterns first, then lexicographic order of the
-    canonical image.  Its witness is :func:`enumerate_copies` of the pattern
-    within the canonical image, one copy; a type two patterns of one size
-    share keeps the first pattern's.
-    `classes` is :func:`_twin_classes` of the host.
+    canonical image.  Its witness is the catalogue's witness of the pattern
+    on the canonical image; a type two patterns of one size share keeps the
+    first pattern's.  witness(type) builds it, for a type with no vertex in
+    a twin class, from the key its listing chunk kept: on one-vertex
+    classes the chunk keeps each set's least key, as the catalogue does.  A
+    type that uses a twin class may have been met first by another key, so
+    :func:`max_tiling` builds its witness with :func:`enumerate_copies`.
+    `classes` is :func:`_twin_classes` of the host; returns (sizes,
+    types_at, witness).
 
     Class k, with least vertex f, lists the types whose canonical image
     holds f and no singleton-class vertex below f.  A canonical copy starts
@@ -606,22 +615,36 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         return canon & ~twins, parts, (h, canon, p)
 
     def lister(p: PatternLike):
-        """For one pattern: read(v), its types whose canonical copy starts
-        at v, by reversed canonical mask."""
+        """For one pattern: (size, read, p, chunks), read(v) its types whose
+        canonical copy starts at v, by reversed canonical mask, and chunks[v]
+        the chunk they came from, reversed canonical mask -> key."""
         pg, _ = _pattern_parts(p)
         chunk = _chunks(host, _growth(pg), class_mask)
         starting: dict[int, dict[int, tuple]] = {}
+        chunks: dict[int, dict[int, tuple]] = {}
 
         def read(v: int) -> dict[int, tuple]:
             got = starting.get(v)
             if got is None:
-                got = starting[v] = {r: listed(pg.n, key, p) for r, key in chunk(v).items()}
+                keys = chunks[v] = chunk(v)
+                got = starting[v] = {r: listed(pg.n, key, p) for r, key in keys.items()}
             return got
 
-        return pg.n, read
+        return pg.n, read, p, chunks
 
     listers = [lister(p) for p in patterns if _pattern_parts(p)[0].n <= host.n]
-    sizes = {h for h, read in listers if any(read(v) for v in iter_bits(firsts))}
+    sizes = {h for h, read, *_ in listers if any(read(v) for v in iter_bits(firsts))}
+
+    def witness(opt: tuple) -> Embedding:
+        """The catalogue's witness of a listed type with no twin-class
+        vertex: the key its listing chunk kept."""
+        _, canon, p = opt
+        r = 0
+        for w in iter_bits(canon):
+            r |= 1 << (host.n - 1 - w)
+        chunks = next(chunks for *_, q, chunks in listers if q is p)
+        pg, pcls = _pattern_parts(p)
+        return Embedding(pg, _growth(pg)[1](chunks[(canon & -canon).bit_length() - 1][r]), pcls)
 
     def types_at(k: int) -> list[tuple]:
         f = (class_mask[k] & -class_mask[k]).bit_length() - 1
@@ -629,7 +652,7 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         earlier = list(iter_bits(firsts & twins & lower))
         # per size, reversed canonical mask -> type
         types: dict[int, dict[int, tuple]] = {}
-        for h, read in listers:
+        for h, read, *_ in listers:
             of_size = types.setdefault(h, {})
             for v in earlier:
                 for r, t in read(v).items():
@@ -644,7 +667,7 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
             for r in sorted(types[size], reverse=True)
         ]
 
-    return sizes, types_at
+    return sizes, types_at, witness
 
 
 def max_tiling(
@@ -688,21 +711,23 @@ def max_tiling(
     pruning.
 
     The first tiling attaining the optimum in this deterministic order is
-    returned.  Each type it places gets its witness built once, by
-    :func:`enumerate_copies` within the canonical image, and moved onto the
-    twins each copy took (the j-th vertex of a class to the j-th taken
-    one).  On a twin-free host every class is a singleton and every copy
-    its own type, so this is the first optimal tiling in the order of all
-    copies.
+    returned.  Each type it places gets its witness, the catalogue's least
+    embedding onto the canonical image, built once and moved onto the twins
+    each copy took (the j-th vertex of a class to the j-th taken one).  A
+    type with no vertex in a twin class reads it off the key its listing
+    chunk kept; a type that uses a twin class grows it with
+    :func:`enumerate_copies` within the canonical image.  On a twin-free
+    host every class is a singleton and every copy its own type, so this is
+    the first optimal tiling in the order of all copies.
     """
     if not patterns:
         raise ValueError("need at least one pattern")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     classes = _twin_classes(host)
-    cls_of, class_mask, _, _ = classes
+    cls_of, class_mask, twins, _ = classes
 
-    sizes, types_at = _copy_types(host, patterns, classes)
+    sizes, types_at, listed_witness = _copy_types(host, patterns, classes)
     # per class, types_at(k) from the first visit that branches there
     per_class: list[Optional[list]] = [None] * len(class_mask)
 
@@ -781,8 +806,12 @@ def max_tiling(
     def place(taken: int, opt: tuple) -> Embedding:
         _, canon, p = opt
         if canon not in witnesses:
-            # a list, not an iterator, so that a tracer can read it after the call
-            (witnesses[canon],) = enumerate_copies(host, p, within=list(iter_bits(canon))).copies
+            if not canon & twins:
+                witnesses[canon] = listed_witness(opt)
+            else:
+                # a list, not an iterator, so that a tracer can read it after the call
+                within = list(iter_bits(canon))
+                (witnesses[canon],) = enumerate_copies(host, p, within=within).copies
         emb = witnesses[canon]
         if taken == canon:
             return emb
@@ -807,25 +836,36 @@ def max_tiling(
 # exhaustive oracle
 # ---------------------------------------------------------------------------
 
-def _oracle_copy_test(host: Graph, pattern: Graph):
-    """The oracle's copy test: subset -> image of the first fitting permutation.
+def _oracle_copies(host: Graph, pattern: Graph, pcls, found: dict) -> None:
+    """The oracle's copy test: put each h-subset not yet in `found` that
+    holds a copy of `pattern` there, keyed by its mask, as (pattern, image
+    of the first fitting permutation, pcls).
 
     Permutations pi of range(h) are tried in ``itertools.permutations``
     order, pi giving the image ``tuple(subset[i] for i in pi)``.  Number the
-    local pairs {i, j} of the h positions; a subset's *shape* is the mask of
-    pairs whose host vertices are adjacent, and pi's *need* is the mask of
-    pairs it maps the pattern's edges to.  pi embeds the pattern exactly when
-    need is within shape, so the answer depends on the shape alone and is
-    worked out once per shape.  The table keeps the first pi of each distinct
-    need (at most h!/|Aut(pattern)| of them), extended lazily only as far as
-    the shapes seen so far require.
+    local pairs (i, k), i < k, of the h positions as bit k(k-1)/2 + i; a
+    subset's *shape* is the mask of pairs whose host vertices are adjacent,
+    and pi's *need* is the mask of pairs it maps the pattern's edges to.  pi
+    embeds the pattern exactly when need is within shape, so the answer
+    depends on the shape alone and is worked out once per shape.  The table
+    keeps the first pi of each distinct need (at most h!/|Aut(pattern)| of
+    them), extended lazily only as far as the shapes seen so far require.
+
+    Subsets are grown depth first, in the order of ``combinations``, and so
+    is each shape: the pairs among the first k positions are its lowest
+    k(k-1)/2 bits, and the k-th vertex adds one k-bit block, the earlier
+    positions it is adjacent to, read from a table per prefix of which
+    earlier positions each later vertex sees.  A prefix is dropped when no
+    permutation fits its shape even with every later pair adjacent, since
+    then no subset it starts holds a copy.
     """
     h = pattern.n
+    n = host.n
     rows = host.rows
-    pairs = [(i, j, 1 << k) for k, (i, j) in enumerate(combinations(range(h), 2))]
     bit = [[0] * h for _ in range(h)]
-    for i, j, b in pairs:
-        bit[i][j] = bit[j][i] = b
+    for k in range(h):
+        for i in range(k):
+            bit[i][k] = bit[k][i] = 1 << (k * (k - 1) // 2 + i)
     pedges = list(pattern.edges())
     perms = permutations(range(h))
     table: dict[int, tuple[int, ...]] = {}  # need -> its first permutation
@@ -845,18 +885,47 @@ def _oracle_copy_test(host: Graph, pattern: Graph):
                     return perm
         return None
 
-    def image_of(subset: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-        shape = 0
-        for i, j, b in pairs:
-            if rows[subset[i]] >> subset[j] & 1:
-                shape |= b
-        if shape in first_fit:
-            perm = first_fit[shape]
-        else:
+    def first(shape: int) -> Optional[tuple[int, ...]]:
+        perm = first_fit.get(shape, False)  # False: not worked out yet
+        if perm is False:
             perm = first_fit[shape] = fit(shape)
-        return None if perm is None else tuple([subset[i] for i in perm])
+        return perm
 
-    return image_of
+    # a prefix's table is one integer, h bits per host vertex u: the
+    # positions taken whose vertex u is adjacent to.  Taking vertex v at
+    # position k adds spread[v] << k, where bit u*h of spread[v] is set when
+    # v and u are adjacent.
+    spread = [0] * n
+    for v, row in enumerate(rows):
+        for u in range(n):
+            if row >> u & 1:
+                spread[v] |= 1 << (u * h)
+    block = (1 << h) - 1
+    every_pair = (1 << (h * (h - 1) // 2)) - 1
+    subset = [0] * h
+    last = h - 1
+
+    def grow(k: int, start: int, mask: int, shape: int, sees: int) -> None:
+        """Take each vertex from `start` on at position k, after the prefix
+        `mask` of shape `shape` whose table is `sees`."""
+        shift = k * (k - 1) // 2
+        if k == last:
+            sees >>= start * h
+            for u in range(start, n):
+                perm = first(shape | (sees & block) << shift)
+                sees >>= h
+                if perm is not None and mask | 1 << u not in found:
+                    subset[k] = u
+                    found[mask | 1 << u] = (pattern, tuple([subset[i] for i in perm]), pcls)
+            return
+        later = every_pair >> (shift + k) << (shift + k)  # the pairs past position k
+        for u in range(start, n - last + k):
+            grown = shape | (sees >> u * h & block) << shift
+            if first(grown | later) is not None:
+                subset[k] = u
+                grow(k + 1, u + 1, mask | 1 << u, grown, sees | spread[u] << k)
+
+    grow(0, 0, 0, 0, 0)
 
 
 def max_tiling_oracle(
@@ -871,10 +940,12 @@ def max_tiling_oracle(
     permutation of the subset that embeds the pattern (no shared code with
     the main search).  That permutation depends only on the subset's induced
     shape, so it is looked up per shape in a table of permutations built
-    lazily once per pattern and call (:func:`_oracle_copy_test`).  With
-    ``maximize_overlap`` the objective becomes lexicographic (covered
-    vertices, then overlap with the given set), which answers "how much of
-    this set can an optimal tiling cover?" exactly.
+    lazily once per pattern and call; subsets are grown depth first, each
+    shape from its prefix's (:func:`_oracle_copies`).  A copy is kept as its
+    Embedding's fields, and only the copies of the returned tiling become
+    Embeddings.  With ``maximize_overlap`` the objective becomes
+    lexicographic (covered vertices, then overlap with the given set), which
+    answers "how much of this set can an optimal tiling cover?" exactly.
 
     The optimum is a memoized recursion over free-vertex bitmasks.  A state
     either skips its least free vertex v or places a copy through it; such a
@@ -902,7 +973,8 @@ def max_tiling_oracle(
                 )
             overlap_mask |= 1 << v
 
-    copy_map: dict[int, Embedding] = {}
+    # mask -> (pattern, image, pattern classes), an Embedding's fields
+    copy_map: dict[int, tuple] = {}
     seen_pattern_graphs = set()
     for p in patterns:
         pg, pcls = _pattern_parts(p)
@@ -911,16 +983,7 @@ def max_tiling_oracle(
         if pg in seen_pattern_graphs or pg.n > n:
             continue
         seen_pattern_graphs.add(pg)
-        image_of = _oracle_copy_test(host, pg)
-        for subset in combinations(range(n), pg.n):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if mask in copy_map:
-                continue
-            image = image_of(subset)
-            if image is not None:
-                copy_map[mask] = Embedding(pg, image, pcls)
+        _oracle_copies(host, pg, pcls, copy_map)
 
     # value of a free mask: covered * (n + 1) + overlap, which orders as the
     # pair (covered, overlap) because overlap <= n
@@ -965,7 +1028,7 @@ def max_tiling_oracle(
         for mask, worth in by_least[low.bit_length() - 1]:
             if mask & cursor == mask and memo[cursor ^ mask] + worth == best:
                 break
-        embs.append(copy_map[mask])
+        embs.append(Embedding(*copy_map[mask]))
         cursor ^= mask
     return TilingResult(
         tiling=Tiling(tuple(embs)),

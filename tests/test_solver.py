@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import re
 from collections import Counter
@@ -411,6 +412,8 @@ def test_tiling_result_rejects_unknown_optimality():
 
 
 K12 = complete_multipartite([1, 2]).graph
+# a partitioned pattern on three vertices: K_{1,2} with its classes
+BOTTLE_212 = bottle_graph(2, 1, 2)
 
 
 def seeded_host(seed: int, n: int, p: float) -> Graph:
@@ -686,7 +689,7 @@ def class_types(host: Graph, patterns) -> list:
     pooled_types_by_class.  The lists are asked for from the last class to
     the first, so each is built before any class below it is listed."""
     classes = solver._twin_classes(host)
-    _, types_at = solver._copy_types(host, patterns, classes)
+    _, types_at, _ = solver._copy_types(host, patterns, classes)
     listed = {k: types_at(k) for k in reversed(range(len(classes[1])))}
 
     def row(opt: tuple) -> tuple:
@@ -785,7 +788,8 @@ def watch_chunks(monkeypatch, listing: bool) -> list:
     """Record the chunks solver._chunks grows of one kind: with `listing`,
     the least vertex of each chunk grown on the host's twin classes (a type
     listing); without, the pool of each chunk grown on one class per pool
-    vertex (a witness, on its canonical image)."""
+    vertex (the witness of a type that uses a twin class, on its canonical
+    image)."""
     grown = []
     chunks = solver._chunks
 
@@ -808,18 +812,23 @@ def test_types_come_from_the_quotient_on_every_host(monkeypatch):
     # a twin class of one vertex is a class whose fibre cap is 1: K_{1,2,2}
     # and a twin-free host list their types on their twin classes, as
     # K_{2,2,2} does, so a chunk on one class per vertex is grown only for
-    # a placed type's witness, on its canonical image
+    # the witness of a placed type that uses a twin class, on its canonical
+    # image.  Every triangle of K_{1,2,2} and K_{2,2,2} uses one; on the
+    # twin-free host each witness is the key its listing chunk kept, and no
+    # such chunk is grown.
     grown = watch_chunks(monkeypatch, listing=False)  # the pool of each
-    for host, pattern in [
-        (complete_multipartite([1, 2, 2]).graph, K3),
-        (complete_multipartite([2, 2, 2]).graph, K3),
-        (seeded_host(0, 20, 0.5), C5),
+    for host, pattern, with_twins in [
+        (complete_multipartite([1, 2, 2]).graph, K3, True),
+        (complete_multipartite([2, 2, 2]).graph, K3, True),
+        (seeded_host(0, 20, 0.5), C5, False),
     ]:
         grown.clear()
         result = max_tiling(host, [pattern])
         assert result.proven_optimal and result.tiling
         placed = {canonical_image(host, emb.image) for emb in result.tiling.embeddings}
-        assert sorted(grown) == sorted(placed)
+        twins = solver._twin_classes(host)[2]
+        assert {bool(canon & twins) for canon in placed} == {with_twins}
+        assert sorted(grown) == (sorted(placed) if with_twins else [])
 
 
 # Petersen minus a vertex holds C5 but no triangle
@@ -840,7 +849,7 @@ def test_types_listed_on_demand_match_the_pooled_catalogue(host: Graph, patterns
     # K_{2,1,2} the triangles through the singleton 2 are listed at classes
     # {0, 1} and {2}, not at {3, 4}.
     assert class_types(host, patterns) == pooled_types_by_class(host, patterns)
-    sizes, _ = solver._copy_types(host, patterns, solver._twin_classes(host))
+    sizes, _, _ = solver._copy_types(host, patterns, solver._twin_classes(host))
     assert sizes == {len(t[0]) for t in pooled_types(host, patterns)}
 
 
@@ -914,6 +923,35 @@ def test_witnesses_are_built_only_for_placed_types(monkeypatch):
     result = max_tiling(line_host("C5", Fraction(1, 2), 15, 10), [C5], budget=1000)
     assert {pool.bit_count() for pool in grown} == {5}
     assert len(grown) == len(set(grown)) <= len(result.tiling)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+@given(
+    st.one_of(coin_hosts(max_n=10), blow_ups(max_n=14)),
+    st.lists(st.sampled_from([K3, C5, BOTTLE_212]), min_size=1, max_size=2),
+)
+@example(seeded_host(5, 12, 0.6), [BOTTLE_212, K3])
+@example(seeded_host(5, 12, 0.6), [K3, BOTTLE_212])
+def test_twin_free_witnesses_are_the_catalogue_witnesses(host, patterns):
+    # a placed type with no twin-class vertex takes its witness from the
+    # key its listing chunk kept; it is the first copy enumerate_copies
+    # finds on the canonical image, of the first pattern of its size with
+    # a copy there (K3 and K_{1,2} share every triangle)
+    patterns = [p for p in patterns if getattr(p, "graph", p).n <= host.n]
+    if not patterns:
+        return
+    twins = solver._twin_classes(host)[2]
+    for emb in max_tiling(host, patterns).tiling.embeddings:
+        if any(twins >> w & 1 for w in emb.image):
+            continue
+        copies = [
+            enumerate_copies(host, p, within=emb.image).copies
+            for p in patterns if getattr(p, "graph", p).n == len(emb.image)
+        ]
+        want = next(found for found in copies if found)[0]
+        assert (emb.image, emb.pattern, emb.pattern_classes) == (
+            want.image, want.pattern, want.pattern_classes
+        )
 
 
 def test_x_line_c5_solve_is_pinned():
@@ -1051,7 +1089,6 @@ def test_oracle_overlap_matches_lexicographic_brute_force(host: Graph, patterns,
     assert got == assignment_max_cover_overlap(host, patterns, overlap)
 
 
-BOTTLE_212 = bottle_graph(2, 1, 2)
 # the default ex1 grid point of `tilekit verify --family ex1`
 EX1_DEFAULT = extremal_one(r=2, sigma=1, omega=2, n=15, eta=Fraction(1, 15), k=2)
 ORACLE_PINS = {
@@ -1104,3 +1141,40 @@ def test_oracle_tilings_are_pinned(name):
     if name == "bottle212-n12":
         for emb in result.tiling.embeddings:
             assert emb.pattern_classes == BOTTLE_212.classes
+
+
+# pattern lists of one size and of two, K1 and bottle(2,1,2) among them
+ORACLE_DIGEST_LISTS = [
+    [Graph(1)], [K3], [C5], [BOTTLE_212], [C4],
+    [K3, P3], [BOTTLE_212, K3], [K12, P3],
+    [C5, K3], [Graph(1), C4], [BOTTLE_212, K2], [C4, K12],
+]
+
+
+def test_oracle_outputs_are_pinned_by_digest():
+    """420 seeded oracle calls, n = 0..16, every third one with an overlap
+    set: images, pattern edges and classes of each copy, covered count and
+    nodes hash to a pinned digest.  It was taken from an oracle that tested
+    each subset of itertools.combinations on its own, so it pins the
+    depth-first copy test, its dropped prefixes and the walk-back's
+    Embeddings to that oracle's output."""
+    digest = hashlib.sha256()
+    for i in range(420):
+        rng = random.Random(f"oracle-digest/{i}")
+        n = i % 17
+        p = rng.choice([0.25, 0.4, 0.55, 0.7])
+        host = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        patterns = ORACLE_DIGEST_LISTS[i % len(ORACLE_DIGEST_LISTS)]
+        overlap = None if i % 3 else [v for v in range(n) if rng.random() < 0.5]
+        result = max_tiling_oracle(host, patterns, maximize_overlap=overlap)
+        digest.update(json.dumps([
+            [
+                [list(emb.image), emb.pattern_classes, sorted(emb.pattern.edges())]
+                for emb in result.tiling.embeddings
+            ],
+            result.covered_count,
+            result.nodes,
+        ]).encode())
+    assert digest.hexdigest() == (
+        "2a8c23bdeb8a0fad55e11c165422941d64ef0ecf1f03464685a919c9092e4311"
+    )
