@@ -39,6 +39,8 @@ from .constructions import (
 )
 from .gadgets import (
     GreedyFailure,
+    check_expanding_set,
+    check_swapping_set,
     find_expanding_set,
     find_swapping_set,
     greedy_kr,
@@ -309,6 +311,14 @@ def cmd_gadgets(args) -> int:
                     "pairs": [list(p) for p in found.pairs],
                     "ordering": list(found.ordering.order),
                 }
+        if found is not None:
+            # the finder's set passes the independent checker before it is printed
+            check = check_expanding_set if args.find == "expand" else check_swapping_set
+            report = check(host, tiling, found)
+            if not report:
+                raise AssertionError(
+                    f"{type(found).__name__} fails its check: {report.violation}"
+                )
     _emit(payload)
     return EXIT_PASS if payload["found"] else EXIT_FAIL
 

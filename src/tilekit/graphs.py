@@ -302,6 +302,7 @@ def bottle_graph(r: int, neck: int, width: int) -> PartitionedGraph:
         raise ValueError(f"neck and width must be positive, got ({neck}, {width})")
     if neck > width:
         raise ValueError(f"neck {neck} exceeds width {width}")
+    check_order(neck + width * (r - 1))  # before the list of r classes is built
     return complete_multipartite([neck] + [width] * (r - 1))
 
 

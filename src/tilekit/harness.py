@@ -171,7 +171,9 @@ def pattern_by_name(name: str) -> Graph:
             sizes = [int(s) for s in m.group(1).split(",")]
             return complete_multipartite(sizes).graph
         if kind == "complete":
-            return complete_multipartite([1] * int(m.group(1))).graph
+            t = int(m.group(1))
+            check_order(t)  # before the list of t classes is built
+            return complete_multipartite([1] * t).graph
         if kind == "cycle":
             return cycle_graph(int(m.group(1)))
         return bottle_graph(int(m.group(1)), int(m.group(2)), int(m.group(3))).graph
@@ -357,9 +359,10 @@ def emit_boundline_plot_data(
 ) -> str:
     """CSV of required degrees: sloped up to each cutoff, flat beyond.
 
-    Column k holds ceil(required(n, i)) for i up to the cutoff index and
-    the flat ceiling value afterwards; at a cutoff index that lands on an
-    integer the two segments agree.  Raises ValueError unless n >= 1.
+    Column k holds ``integer_form(n).need(i)`` for i up to the cutoff
+    index and the flat ceiling value afterwards; at a cutoff index that
+    lands on an integer the two segments agree.  Raises ValueError unless
+    n >= 1.
     """
     _check_host_order(n)
     if isinstance(lines, BoundLine):

@@ -34,10 +34,10 @@ Two solvers deliberately share nothing beyond the Graph type:
   subtree by the bound covered + the best coin sum of pattern sizes within
   the free count, and by a dominance table of the most covered seen per
   free mask.  On a host without twins every type is one copy, listed
-  once, at its least vertex.  A type's witness is built only when the
-  returned tiling places the type: from the key its listing chunk kept
-  when no vertex of it lies in a twin class, else by
-  :func:`enumerate_copies` within its canonical copy.
+  once, at its least vertex.  Each listed type carries the key its listing
+  chunk grew it with.  A type's witness is built only when the returned
+  tiling places the type: from that key when no vertex of it lies in a
+  twin class, else by :func:`enumerate_copies` within its canonical copy.
 * :func:`max_tiling_oracle` -- memoized recursion over free-vertex bitmasks
   (the subset dynamic programme of Held & Karp 1962), for hosts up to 16
   vertices.  Copies are found per vertex subset by raw permutation testing,
@@ -576,17 +576,17 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
     k.
 
     A type is listed as (mask on singleton classes, (class mask, count) per
-    larger class, (size, canonical image mask, pattern as passed)), in
+    larger class, (size, canonical image mask, pattern as passed, key)), in
     table order: larger patterns first, then lexicographic order of the
-    canonical image.  Its witness is the catalogue's witness of the pattern
-    on the canonical image; a type two patterns of one size share keeps the
-    first pattern's.  witness(type) builds it, for a type with no vertex in
-    a twin class, from the key its listing chunk kept: on one-vertex
-    classes the chunk keeps each set's least key, as the catalogue does.  A
-    type that uses a twin class may have been met first by another key, so
-    :func:`max_tiling` builds its witness with :func:`enumerate_copies`.
+    canonical image.  The key is the one its listing chunk kept, images
+    read in (-degree, index) order.  Its witness is the catalogue's witness
+    of the pattern on the canonical image; a type two patterns of one size
+    share keeps the first pattern's.  On one-vertex classes the chunk keeps
+    each set's least key, as the catalogue does, so the key of a type with
+    no vertex in a twin class is its witness; a type that uses a twin class
+    may have been met first by another key (see :func:`max_tiling`).
     `classes` is :func:`_twin_classes` of the host; returns (sizes,
-    types_at, witness).
+    types_at).
 
     Class k, with least vertex f, lists the types whose canonical image
     holds f and no singleton-class vertex below f.  A canonical copy starts
@@ -607,44 +607,30 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         for w in key:
             canon |= 1 << w
         if not canon & twins:
-            return canon, (), (h, canon, p)
+            return canon, (), (h, canon, p, key)
         used: dict[int, int] = {}
         for w in iter_bits(canon & twins):
             used[cls_of[w]] = used.get(cls_of[w], 0) + 1
         parts = tuple((class_mask[i], c) for i, c in used.items())
-        return canon & ~twins, parts, (h, canon, p)
+        return canon & ~twins, parts, (h, canon, p, key)
 
     def lister(p: PatternLike):
-        """For one pattern: (size, read, p, chunks), read(v) its types whose
-        canonical copy starts at v, by reversed canonical mask, and chunks[v]
-        the chunk they came from, reversed canonical mask -> key."""
+        """For one pattern: (size, read), read(v) its types whose canonical
+        copy starts at v, by reversed canonical mask."""
         pg, _ = _pattern_parts(p)
         chunk = _chunks(host, _growth(pg), class_mask)
         starting: dict[int, dict[int, tuple]] = {}
-        chunks: dict[int, dict[int, tuple]] = {}
 
         def read(v: int) -> dict[int, tuple]:
             got = starting.get(v)
             if got is None:
-                keys = chunks[v] = chunk(v)
-                got = starting[v] = {r: listed(pg.n, key, p) for r, key in keys.items()}
+                got = starting[v] = {r: listed(pg.n, key, p) for r, key in chunk(v).items()}
             return got
 
-        return pg.n, read, p, chunks
+        return pg.n, read
 
     listers = [lister(p) for p in patterns if _pattern_parts(p)[0].n <= host.n]
-    sizes = {h for h, read, *_ in listers if any(read(v) for v in iter_bits(firsts))}
-
-    def witness(opt: tuple) -> Embedding:
-        """The catalogue's witness of a listed type with no twin-class
-        vertex: the key its listing chunk kept."""
-        _, canon, p = opt
-        r = 0
-        for w in iter_bits(canon):
-            r |= 1 << (host.n - 1 - w)
-        chunks = next(chunks for *_, q, chunks in listers if q is p)
-        pg, pcls = _pattern_parts(p)
-        return Embedding(pg, _growth(pg)[1](chunks[(canon & -canon).bit_length() - 1][r]), pcls)
+    sizes = {h for h, read in listers if any(read(v) for v in iter_bits(firsts))}
 
     def types_at(k: int) -> list[tuple]:
         f = (class_mask[k] & -class_mask[k]).bit_length() - 1
@@ -652,11 +638,11 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
         earlier = list(iter_bits(firsts & twins & lower))
         # per size, reversed canonical mask -> type
         types: dict[int, dict[int, tuple]] = {}
-        for h, read, *_ in listers:
+        for h, read in listers:
             of_size = types.setdefault(h, {})
             for v in earlier:
                 for r, t in read(v).items():
-                    fixed, _, (_, canon, _) = t
+                    fixed, _, (_, canon, _, _) = t
                     if canon >> f & 1 and not fixed & lower:
                         of_size.setdefault(r, t)
             for r, t in read(f).items():  # every type starting at f passes
@@ -667,7 +653,7 @@ def _copy_types(host: Graph, patterns: Sequence[PatternLike], classes):
             for r in sorted(types[size], reverse=True)
         ]
 
-    return sizes, types_at, witness
+    return sizes, types_at
 
 
 def max_tiling(
@@ -714,11 +700,12 @@ def max_tiling(
     returned.  Each type it places gets its witness, the catalogue's least
     embedding onto the canonical image, built once and moved onto the twins
     each copy took (the j-th vertex of a class to the j-th taken one).  A
-    type with no vertex in a twin class reads it off the key its listing
-    chunk kept; a type that uses a twin class grows it with
-    :func:`enumerate_copies` within the canonical image.  On a twin-free
-    host every class is a singleton and every copy its own type, so this is
-    the first optimal tiling in the order of all copies.
+    type with no vertex in a twin class reads it off the key its record
+    carries; a type that uses a twin class grows it with
+    :func:`enumerate_copies` within the canonical image, since its key need
+    not be the least one.  On a twin-free host every class is a singleton
+    and every copy its own type, so this is the first optimal tiling in the
+    order of all copies.
     """
     if not patterns:
         raise ValueError("need at least one pattern")
@@ -727,7 +714,7 @@ def max_tiling(
     classes = _twin_classes(host)
     cls_of, class_mask, twins, _ = classes
 
-    sizes, types_at, listed_witness = _copy_types(host, patterns, classes)
+    sizes, types_at = _copy_types(host, patterns, classes)
     # per class, types_at(k) from the first visit that branches there
     per_class: list[Optional[list]] = [None] * len(class_mask)
 
@@ -804,10 +791,11 @@ def max_tiling(
     witnesses: dict[int, Embedding] = {}  # canonical mask -> witness
 
     def place(taken: int, opt: tuple) -> Embedding:
-        _, canon, p = opt
+        _, canon, p, key = opt
         if canon not in witnesses:
             if not canon & twins:
-                witnesses[canon] = listed_witness(opt)
+                pg, pcls = _pattern_parts(p)
+                witnesses[canon] = Embedding(pg, _growth(pg)[1](key), pcls)
             else:
                 # a list, not an iterator, so that a tracer can read it after the call
                 within = list(iter_bits(canon))

@@ -265,13 +265,10 @@ class BoundLine:
         """Coefficient of n where the sloped part meets its flat threshold."""
         return self.intercept + self.slope * self.cutoff + self.slack
 
-    def required(self, n: int, i: int) -> Fraction:
-        """Exact lower bound on d_i for an n-vertex host (i is 1-based)."""
-        return (self.intercept + self.slack) * n + self.slope * i
-
     def integer_form(self, n: int) -> IntegerLine:
-        """The line at host order n as integers: ceil(required(n, i)) is
-        ceil((a + b i) / q) for 1 <= i <= last = floor(cutoff n)."""
+        """The line at host order n as integers: the exact bound
+        (intercept + slack) n + slope i on d_i (i is 1-based) is
+        (a + b i) / q for 1 <= i <= last = floor(cutoff n)."""
         c = self.intercept + self.slack
         q = math.lcm(c.denominator, self.slope.denominator)
         return IntegerLine(
@@ -280,10 +277,6 @@ class BoundLine:
             b=self.slope.numerator * (q // self.slope.denominator),
             q=q,
         )
-
-    def required_ceil(self, n: int, i: int) -> int:
-        # degrees are integers, so the weakest integer form of the bound
-        return self.integer_form(n).need(i)
 
 
 @dataclass(frozen=True)

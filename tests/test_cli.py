@@ -10,11 +10,13 @@ import json
 import os
 import shlex
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from tilekit import cli
 from tilekit.cli import build_parser, main
 from tilekit.constructions import extremal_three, lemma62_perfect_tiling
 from tilekit.graphs import bottle_graph, emit_edge_list, parse_graph
@@ -152,10 +154,14 @@ def test_unknown_pattern_name_fails_cleanly(capsys):
     [
         ["thresholds", "--pattern", "K_{500000,500000}"],
         ["thresholds", "--pattern", "C_50000000"],
+        # K_t and bottle(r,s,w) would build a list of t or r classes first;
+        # this K_t asks for about 800 GB
+        ["thresholds", "--pattern", "K_99999999999"],
+        ["thresholds", "--pattern", "bottle(99999999999,1,1)"],
         ["verify", "--family", "ex3", "--grid",
          '[{"pattern": "K3", "n": 999999, "x": "1/3", "eta": "1/999999"}]'],
     ],
-    ids=["pattern-name", "cycle-name", "verify-ex3"],
+    ids=["pattern-name", "cycle-name", "complete-name", "bottle-name", "verify-ex3"],
 )
 def test_oversized_hosts_exit_1_at_once(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -475,6 +481,37 @@ def test_gadgets_kr_failure_reports_step(capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["step"] == 2 and payload["neighborhood_size"] == 11
+
+
+@pytest.mark.parametrize(
+    "find, edges, corrupt, violation",
+    [
+        ("expand", [(0, 1), (1, 2), (2, 0), (3, 1), (3, 2)],
+         lambda found: replace(found, vertices=(0,)),
+         "ExpandingSet fails its check: vertex 0 lies inside the tiling"),
+        ("swap", [(0, 1), (1, 2), (2, 0), (3, 0), (3, 1), (4, 2)],
+         lambda found: replace(found, pairs=((4, 2),)),
+         "SwappingSet fails its check: vertex 4 sees too little of the neck"),
+    ],
+    ids=["expand", "swap"],
+)
+def test_gadgets_check_each_set_before_printing(
+    capsys, tmp_path, monkeypatch, find, edges, corrupt, violation
+):
+    # the finders above find [3] and [[3, 2]] on these hosts; a finder
+    # whose set fails the independent checker is an internal error, and
+    # nothing is printed
+    host, tiling = _write_k3_fixture(tmp_path, edges)
+    name = {"expand": "find_expanding_set", "swap": "find_swapping_set"}[find]
+    finder = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args, **kw: corrupt(finder(*args, **kw)))
+    code, out, err = run(
+        capsys, "gadgets", "--find", find, "--host", host, "--tiling", tiling,
+        "--size", "1", *(["--offset", "1"] if find == "swap" else []),
+    )
+    assert code == 3
+    assert out == ""
+    assert err == f"error: AssertionError: {violation}\n"
 
 
 def test_gadgets_expand_needs_tiling(capsys):

@@ -689,12 +689,12 @@ def class_types(host: Graph, patterns) -> list:
     pooled_types_by_class.  The lists are asked for from the last class to
     the first, so each is built before any class below it is listed."""
     classes = solver._twin_classes(host)
-    _, types_at, _ = solver._copy_types(host, patterns, classes)
+    _, types_at = solver._copy_types(host, patterns, classes)
     listed = {k: types_at(k) for k in reversed(range(len(classes[1])))}
 
     def row(opt: tuple) -> tuple:
         # each witness is built as max_tiling builds it for a placed type
-        _, canon, pattern = opt
+        _, canon, pattern, _ = opt
         within = list(iter_bits(canon))
         (emb,) = enumerate_copies(host, pattern, within=within).copies
         return within, emb.pattern, emb.image
@@ -849,7 +849,7 @@ def test_types_listed_on_demand_match_the_pooled_catalogue(host: Graph, patterns
     # K_{2,1,2} the triangles through the singleton 2 are listed at classes
     # {0, 1} and {2}, not at {3, 4}.
     assert class_types(host, patterns) == pooled_types_by_class(host, patterns)
-    sizes, _, _ = solver._copy_types(host, patterns, solver._twin_classes(host))
+    sizes, _ = solver._copy_types(host, patterns, solver._twin_classes(host))
     assert sizes == {len(t[0]) for t in pooled_types(host, patterns)}
 
 
@@ -952,6 +952,73 @@ def test_twin_free_witnesses_are_the_catalogue_witnesses(host, patterns):
         assert (emb.image, emb.pattern, emb.pattern_classes) == (
             want.image, want.pattern, want.pattern_classes
         )
+
+
+# patterns alone and in mixed lists of two, K3 with K_{1,2} sharing types.
+# A twin-class type of K_{1,3} can be listed under a key that is not its
+# catalogue witness (its leaves out of order), so it pins that path too.
+K13 = complete_multipartite([1, 3]).graph
+TILING_DIGEST_LISTS = [
+    [K3], [C5], [K12], [BOTTLE_212], [K13],
+    [K3, C5], [C5, K3], [K12, K3], [BOTTLE_212, K3], [C5, K12], [BOTTLE_212, C5], [K3, K13],
+]
+
+
+def digest_host(rng: random.Random, kind: int) -> Graph:
+    """A seeded host with shuffled labels: twin-free (kind 0), a blow-up of
+    2-6 classes of 1-5 twins (kind 1), or such a blow-up plus one vertex
+    joined to about half the others (kind 2)."""
+    p = rng.choice([0.3, 0.5, 0.7])
+    if kind == 0:
+        while True:
+            n = rng.randint(4, 18)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            if len(set(Graph(n, edges).rows)) == n:
+                break
+    else:
+        sizes = [rng.randint(1, 5) for _ in range(rng.randint(2, 6))]
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        n = sum(sizes)
+        edges = [
+            (u, v)
+            for i in range(len(sizes)) for j in range(i + 1, len(sizes)) if rng.random() < p
+            for u in range(starts[i], starts[i] + sizes[i])
+            for v in range(starts[j], starts[j] + sizes[j])
+        ]
+        if kind == 2:
+            edges += [(v, n) for v in range(n) if rng.random() < 0.5]
+            n += 1
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return Graph(n, [(labels[u], labels[v]) for u, v in edges])
+
+
+def test_max_tiling_outputs_are_pinned_by_digest():
+    """600 seeded max_tiling calls, a third each on twin-free hosts,
+    blow-ups and blow-ups plus one vertex, under budgets of 50, 500 and
+    20,000 nodes: images, pattern edges and classes of each copy, covered
+    count, nodes, optimality and reason hash to a pinned digest.  It was
+    taken while a type's witness key was still looked up beside the listed
+    types, so it pins the witnesses read off the type records."""
+    digest = hashlib.sha256()
+    for i in range(600):
+        rng = random.Random(f"tiling-digest/{i}")
+        host = digest_host(rng, i % 3)
+        budget = (50, 500, 20_000)[i // 3 % 3]
+        result = max_tiling(host, rng.choice(TILING_DIGEST_LISTS), budget)
+        digest.update(json.dumps([
+            [
+                [list(emb.image), emb.pattern_classes, sorted(emb.pattern.edges())]
+                for emb in result.tiling.embeddings
+            ],
+            result.covered_count,
+            result.nodes,
+            result.optimality,
+            result.reason,
+        ]).encode())
+    assert digest.hexdigest() == (
+        "44b0ce880a8cc119306295e96424b82b1e16b6d1dc0291602cc78c8d32403da1"
+    )
 
 
 def test_x_line_c5_solve_is_pinned():

@@ -252,8 +252,9 @@ def test_slack_shifts_requirements():
     plain = komlos_line(params)
     slacked = komlos_line(params, eta=Fraction(1, 10))
     n = 100
-    for i in range(1, plain.integer_form(n).last + 1):
-        assert slacked.required(n, i) - plain.required(n, i) == 10
+    plain_form, slacked_form = plain.integer_form(n), slacked.integer_form(n)
+    for i in range(1, plain_form.last + 1):
+        assert slacked_form.need(i) - plain_form.need(i) == 10
 
 
 def test_bound_line_validation():
@@ -265,10 +266,11 @@ def test_bound_line_validation():
 
 def test_required_ceil_is_exact():
     line = BoundLine(Fraction(1, 3), Fraction(1, 2), Fraction(1, 2))
-    assert line.required(9, 1) == Fraction(7, 2)
-    assert line.required_ceil(9, 1) == 4
-    assert line.required_ceil(9, 2) == 4
-    assert line.integer_form(9).last == 4
+    form = line.integer_form(9)
+    assert Fraction(form.a + form.b, form.q) == Fraction(7, 2)
+    assert form.need(1) == 4
+    assert form.need(2) == 4
+    assert form.last == 4
 
 
 @PROPERTY_SETTINGS
@@ -370,7 +372,7 @@ def test_degree_check_reports_first_violation():
     assert not verdict
     assert verdict.index == 1
     assert verdict.degree == 0
-    assert verdict.required == line.required_ceil(40, 1)
+    assert verdict.required == line.integer_form(40).need(1)
 
 
 @PROPERTY_SETTINGS
